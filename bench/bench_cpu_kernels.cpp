@@ -187,7 +187,7 @@ void conv_strategy_bench(benchmark::State& state, conv::Strategy strategy) {
   const ConvConfig cfg{
       .batch = 2, .input = 32, .channels = 4, .filters = 8,
       .kernel = static_cast<std::size_t>(state.range(0)), .stride = 1};
-  const auto engine = conv::make_engine(strategy);
+  const auto* engine = &conv::strategy_engine(strategy);
   Rng rng(5);
   Tensor in(cfg.input_shape());
   in.fill_uniform(rng);
@@ -554,9 +554,9 @@ void BM_PrepackedConvForward(benchmark::State& state) {
   w.fill_uniform(rng, -1.0F, 1.0F);
   const auto bias = random_vec(cfg.filters, 10);
   Tensor out(cfg.output_shape());
-  const conv::PackedFilters packed = conv::prepack_filters(cfg, w);
+  const auto packed = engine.prepack(cfg, w);
   for (auto _ : state) {
-    const bool ran = engine.forward_prepacked(cfg, in, packed, w, bias,
+    const bool ran = engine.forward_prepacked(cfg, in, *packed, w, bias,
                                               /*relu=*/true, out);
     if (!ran) state.SkipWithError("GemmConv refused its own pack");
     benchmark::DoNotOptimize(out.raw());
@@ -585,9 +585,9 @@ void winograd_forward_bench(benchmark::State& state,
   w.fill_uniform(rng, -1.0F, 1.0F);
   const auto bias = random_vec(cfg.filters, 10);
   Tensor out(cfg.output_shape());
-  const conv::PackedFilters packed = conv::prepack_filters(cfg, w);
+  const auto packed = engine.prepack(cfg, w);
   for (auto _ : state) {
-    const bool ran = engine.forward_prepacked(cfg, in, packed, w, bias,
+    const bool ran = engine.forward_prepacked(cfg, in, *packed, w, bias,
                                               /*relu=*/true, out);
     if (!ran) state.SkipWithError("WinogradConv refused its own pack");
     benchmark::DoNotOptimize(out.raw());
@@ -763,83 +763,52 @@ int main(int argc, char** argv) {
     (is_autotune_row(row) ? autotune_rows : kernel_rows).push_back(row);
   }
 
-  // Pair each int8 bench with its fp32 twin into the BENCH_int8
-  // speedup table (the raw runs stay in BENCH_cpu_kernels too).
+  // Paired tables: each row times a baseline bench against its twin on
+  // the same case, speedup = baseline / twin (the raw runs stay in
+  // BENCH_cpu_kernels too).
   const auto real_ns = [&](const std::string& name) -> double {
     for (const auto& row : reporter.rows()) {
       if (row[0] == name) return std::stod(row[1]);
     }
     return 0.0;
   };
-  std::vector<std::vector<std::string>> int8_rows;
-  const auto pair_row = [&](const std::string& label,
-                            const std::string& fp32_name,
-                            const std::string& int8_name) {
-    const double fp32 = real_ns(fp32_name);
-    const double int8 = real_ns(int8_name);
-    if (fp32 <= 0.0 || int8 <= 0.0) return;  // filtered out of this run
-    int8_rows.push_back({label, std::to_string(fp32), std::to_string(int8),
-                         std::to_string(fp32 / int8)});
+  using Rows = std::vector<std::vector<std::string>>;
+  const auto add_pair = [&](Rows& rows, const std::string& label,
+                            const std::string& base_name,
+                            const std::string& twin_name) {
+    const double base = real_ns(base_name);
+    const double twin = real_ns(twin_name);
+    if (base <= 0.0 || twin <= 0.0) return;  // filtered out of this run
+    rows.push_back({label, std::to_string(base), std::to_string(twin),
+                    std::to_string(base / twin)});
   };
-  for (const int n : {128, 256, 512}) {
-    pair_row("gemm/" + std::to_string(n),
-             "BM_SgemmBlocked/" + std::to_string(n),
-             "BM_Int8Gemm/" + std::to_string(n));
-  }
-  for (std::size_t i = 0; i < std::size(kInt8ConvShapes); ++i) {
-    pair_row("conv/" + int8_shape_name(kInt8ConvShapes[i]),
-             "BM_Fp32ConvForward/" + std::to_string(i),
-             "BM_Int8ConvForward/" + std::to_string(i));
-  }
 
-  // Same pairing for the prepacked-vs-staged runs: the BENCH_prepack
-  // table quantifies what pack-once/execute-many buys per GEMM shape.
-  std::vector<std::vector<std::string>> prepack_rows;
-  const auto prepack_row = [&](const std::string& label,
-                               const std::string& staged_name,
-                               const std::string& prepacked_name) {
-    const double staged = real_ns(staged_name);
-    const double prepacked = real_ns(prepacked_name);
-    if (staged <= 0.0 || prepacked <= 0.0) return;
-    prepack_rows.push_back({label, std::to_string(staged),
-                            std::to_string(prepacked),
-                            std::to_string(staged / prepacked)});
-  };
+  // BENCH_int8: each int8 bench against its fp32 twin. BENCH_prepack:
+  // what pack-once/execute-many buys per GEMM shape. BENCH_winograd: both
+  // tile sizes against the staged fused GemmConv forward they displace.
+  Rows int8_rows;
+  Rows prepack_rows;
+  Rows winograd_rows;
   for (const int n : {128, 256, 512}) {
-    prepack_row("sgemm/" + std::to_string(n),
-                "BM_SgemmBlocked/" + std::to_string(n),
-                "BM_SgemmPrepacked/" + std::to_string(n));
-    prepack_row("igemm/" + std::to_string(n),
-                "BM_Int8Gemm/" + std::to_string(n),
-                "BM_Int8GemmPrepacked/" + std::to_string(n));
+    const std::string size = std::to_string(n);
+    add_pair(int8_rows, "gemm/" + size, "BM_SgemmBlocked/" + size,
+             "BM_Int8Gemm/" + size);
+    add_pair(prepack_rows, "sgemm/" + size, "BM_SgemmBlocked/" + size,
+             "BM_SgemmPrepacked/" + size);
+    add_pair(prepack_rows, "igemm/" + size, "BM_Int8Gemm/" + size,
+             "BM_Int8GemmPrepacked/" + size);
   }
-  for (std::size_t i = 0; i < std::size(kInt8ConvShapes); ++i) {
-    prepack_row("conv/" + int8_shape_name(kInt8ConvShapes[i]),
-                "BM_Fp32ConvForward/" + std::to_string(i),
-                "BM_PrepackedConvForward/" + std::to_string(i));
-  }
-
-  // Winograd tile-GEMM vs im2col+GEMM on the same zoo shapes: both tile
-  // sizes against the staged fused GemmConv forward they displace.
-  std::vector<std::vector<std::string>> winograd_rows;
-  const auto winograd_row = [&](const std::string& label,
-                                const std::string& gemm_name,
-                                const std::string& winograd_name) {
-    const double gemm = real_ns(gemm_name);
-    const double winograd = real_ns(winograd_name);
-    if (gemm <= 0.0 || winograd <= 0.0) return;
-    winograd_rows.push_back({label, std::to_string(gemm),
-                             std::to_string(winograd),
-                             std::to_string(gemm / winograd)});
-  };
   for (std::size_t i = 0; i < std::size(kInt8ConvShapes); ++i) {
     const std::string shape = int8_shape_name(kInt8ConvShapes[i]);
-    winograd_row("conv-f2/" + shape,
-                 "BM_Fp32ConvForward/" + std::to_string(i),
-                 "BM_WinogradConvForwardF2/" + std::to_string(i));
-    winograd_row("conv-f4/" + shape,
-                 "BM_Fp32ConvForward/" + std::to_string(i),
-                 "BM_WinogradConvForwardF4/" + std::to_string(i));
+    const std::string fp32 = "BM_Fp32ConvForward/" + std::to_string(i);
+    add_pair(int8_rows, "conv/" + shape, fp32,
+             "BM_Int8ConvForward/" + std::to_string(i));
+    add_pair(prepack_rows, "conv/" + shape, fp32,
+             "BM_PrepackedConvForward/" + std::to_string(i));
+    add_pair(winograd_rows, "conv-f2/" + shape, fp32,
+             "BM_WinogradConvForwardF2/" + std::to_string(i));
+    add_pair(winograd_rows, "conv-f4/" + shape, fp32,
+             "BM_WinogradConvForwardF4/" + std::to_string(i));
   }
 
   gpucnn::obs::RunExporter exporter(options, "bench_cpu_kernels");

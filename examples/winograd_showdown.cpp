@@ -36,15 +36,15 @@ int main() {
   filters.fill_uniform(rng);
 
   Tensor reference(cfg.output_shape());
-  conv::make_engine(conv::Strategy::kDirect)
-      ->forward(cfg, input, filters, reference);
+  conv::strategy_engine(conv::Strategy::kDirect)
+      .forward(cfg, input, filters, reference);
 
   Table table("real CPU engines on the 3x3 layer (forward pass)");
   table.header({"strategy", "time (ms)", "GFLOP/s", "max |err| vs direct",
                 "multiplies vs direct"});
   for (const auto s : {conv::Strategy::kDirect, conv::Strategy::kUnrolling,
                        conv::Strategy::kFft, conv::Strategy::kWinograd}) {
-    const auto engine = conv::make_engine(s);
+    const auto* engine = &conv::strategy_engine(s);
     Tensor out(cfg.output_shape());
     engine->forward(cfg, input, filters, out);  // warm-up + correctness
     const double err = max_abs_diff(reference, out);

@@ -10,12 +10,8 @@
 
 #include "analysis/conv_runner.hpp"
 #include "conv/conv_engine.hpp"
-#include "conv/depthwise_conv.hpp"
 #include "conv/fft_conv.hpp"
-#include "conv/implicit_gemm_conv.hpp"
 #include "conv/quantized_conv.hpp"
-#include "conv/tiled_fft_conv.hpp"
-#include "conv/winograd_conv.hpp"
 #include "core/rng.hpp"
 #include "core/tensor.hpp"
 #include "core/workspace.hpp"
@@ -76,21 +72,22 @@ void add_failure(FuzzReport& report, std::size_t index,
   report.failures.push_back({index, cfg, std::move(what)});
 }
 
-/// The non-reference engines: factory strategies plus the variants the
-/// factory does not expose directly — implicit GEMM, tiled FFT, and the
-/// full-complex spectrum path kept as the rfft cross-check.
-std::vector<std::unique_ptr<conv::ConvEngine>> make_checked_engines() {
-  std::vector<std::unique_ptr<conv::ConvEngine>> engines;
-  engines.push_back(conv::make_engine(conv::Strategy::kUnrolling));
-  engines.push_back(std::make_unique<conv::ImplicitGemmConv>());
-  engines.push_back(conv::make_engine(conv::Strategy::kFft));
-  engines.push_back(
-      std::make_unique<conv::FftConv>(conv::FftConv::Spectrum::kFull));
-  engines.push_back(std::make_unique<conv::TiledFftConv>());
-  engines.push_back(conv::make_engine(conv::Strategy::kWinograd));
-  engines.push_back(
-      std::make_unique<conv::WinogradConv>(conv::WinogradTile::kF4));
-  engines.push_back(std::make_unique<conv::DepthwiseConv>());
+/// The direct reference every other engine is checked against.
+const conv::ConvEngine& reference_engine() {
+  return conv::strategy_engine(conv::Strategy::kDirect);
+}
+
+/// The engines checked against the reference: every exact registry
+/// engine, plus the full-complex spectrum path kept as the rfft
+/// cross-check (the int8 engines have their own quantization-aware
+/// check).
+std::vector<const conv::ConvEngine*> checked_engines() {
+  static const conv::FftConv fft_complex(conv::FftConv::Spectrum::kFull);
+  std::vector<const conv::ConvEngine*> engines;
+  for (const conv::ConvEngine* e : conv::registry()) {
+    if (e != &reference_engine() && !e->quantized()) engines.push_back(e);
+  }
+  engines.push_back(&fft_complex);
   return engines;
 }
 
@@ -104,7 +101,7 @@ void check_engines(const ConvConfig& cfg, std::uint64_t seed,
   Tensor grad_output(cfg.output_shape());
   grad_output.fill_uniform(rng);
 
-  const auto direct = conv::make_engine(conv::Strategy::kDirect);
+  const conv::ConvEngine* direct = &reference_engine();
   Tensor ref_out(cfg.output_shape());
   Tensor ref_gin(cfg.input_shape());
   Tensor ref_gfilt(cfg.filter_shape());
@@ -138,7 +135,7 @@ void check_engines(const ConvConfig& cfg, std::uint64_t seed,
        filter_tolerance(cfg)},
   };
 
-  for (const auto& engine : make_checked_engines()) {
+  for (const conv::ConvEngine* engine : checked_engines()) {
     if (!engine->supports(cfg)) {
       ++report.engine_skips;
       continue;
@@ -428,7 +425,8 @@ void check_int8(const ConvConfig& cfg, std::uint64_t seed,
 
   // fp32 reference: the same im2col+GEMM algorithm the int8 path
   // quantizes, so the only differences left are quantization error.
-  const auto fp32 = conv::make_engine(conv::Strategy::kUnrolling);
+  const conv::ConvEngine* fp32 =
+      &conv::strategy_engine(conv::Strategy::kUnrolling);
   Tensor ref_plain(cfg.output_shape());
   Tensor ref_fused(cfg.output_shape());
   try {
@@ -524,74 +522,34 @@ void check_prepack(const ConvConfig& cfg, std::uint64_t seed,
     add_failure(report, index, cfg, "prepacked forward: " + what);
   };
 
-  // The staged twin of each variant below runs the same kernels with the
-  // same epilogue; only the weight panels come from a per-call pack
-  // instead of the cache, so agreement must be exact.
-  struct Variant {
-    bool implicit;
-    bool relu;
-  };
-  constexpr Variant kVariants[] = {
-      {false, false}, {false, true}, {true, false}, {true, true}};
-
-  const auto gemm = conv::make_engine(conv::Strategy::kUnrolling);
-  const conv::ImplicitGemmConv implicit;
-  const conv::PackedFilters packed = conv::prepack_filters(cfg, filters);
-  for (const auto& v : kVariants) {
-    if (v.implicit && cfg.groups != 1) continue;
-    const conv::ConvEngine& engine =
-        v.implicit ? static_cast<const conv::ConvEngine&>(implicit) : *gemm;
-    const std::string label = std::string(engine.name()) +
-                              (v.relu ? " fused" : " plain");
-    const std::span<const float> b =
-        v.relu ? std::span<const float>(bias) : std::span<const float>();
-    Tensor staged(cfg.output_shape());
-    Tensor reused(cfg.output_shape());
+  // Every engine with a prepacked path, with and without the fused
+  // epilogue: the staged twin runs the same kernels (Winograd runs the
+  // identical filter transform per call); only the weight panels come
+  // from a per-call pack instead of the engine's own cache, so agreement
+  // must be exact.
+  for (const conv::ConvEngine* engine : conv::registry()) {
+    std::shared_ptr<const conv::PackedFilters> packed;
     try {
-      if (!engine.forward_fused(cfg, input, filters, b, v.relu, staged)) {
-        fail(label + ": staged forward refused the config");
-        continue;
-      }
-      if (!engine.forward_prepacked(cfg, input, packed, filters, b, v.relu,
-                                    reused)) {
-        fail(label + ": forward_prepacked refused its own pack");
-        continue;
-      }
+      packed = engine->prepack(cfg, filters);
     } catch (const std::exception& e) {
-      fail(label + " threw: " + e.what());
+      fail(std::string(engine->name()) + " prepack threw: " + e.what());
       continue;
     }
-    ++report.prepack_checks;
-    if (!finite(reused)) {
-      fail(label + " produced non-finite values");
-      continue;
-    }
-    if (max_abs_diff(staged, reused) != 0.0) {
-      fail(label + " is not bit-identical to the staged forward");
-    }
-  }
-
-  // Winograd packs pre-transformed U panels instead of im2col panels,
-  // but the staged path runs the identical filter transform per call, so
-  // the bit-identity bar holds for both tile sizes too.
-  const conv::WinogradConv wino_f2(conv::WinogradTile::kF2);
-  const conv::WinogradConv wino_f4(conv::WinogradTile::kF4);
-  for (const conv::WinogradConv* wino : {&wino_f2, &wino_f4}) {
-    if (!wino->supports(cfg)) continue;
+    if (packed == nullptr) continue;
     for (const bool relu : {false, true}) {
-      const std::string label = std::string(wino->name()) +
-                                (relu ? " fused" : " plain");
+      const std::string label =
+          std::string(engine->name()) + (relu ? " fused" : " plain");
       const std::span<const float> b =
           relu ? std::span<const float>(bias) : std::span<const float>();
       Tensor staged(cfg.output_shape());
       Tensor reused(cfg.output_shape());
       try {
-        if (!wino->forward_fused(cfg, input, filters, b, relu, staged)) {
+        if (!engine->forward_fused(cfg, input, filters, b, relu, staged)) {
           fail(label + ": staged forward refused the config");
           continue;
         }
-        if (!wino->forward_prepacked(cfg, input, packed, filters, b, relu,
-                                     reused)) {
+        if (!engine->forward_prepacked(cfg, input, *packed, filters, b, relu,
+                                       reused)) {
           fail(label + ": forward_prepacked refused its own pack");
           continue;
         }
@@ -624,6 +582,12 @@ void check_prepack(const ConvConfig& cfg, std::uint64_t seed,
       quant::choose_act_quant(-act_absmax, act_absmax);
   const conv::PackedQFilters qpacked =
       conv::prepack_quantized_filters(cfg, qw);
+  struct Variant {
+    bool implicit;
+    bool relu;
+  };
+  constexpr Variant kVariants[] = {
+      {false, false}, {false, true}, {true, false}, {true, true}};
   for (const auto& v : kVariants) {
     if (v.implicit && cfg.groups != 1) continue;
     const std::string label =

@@ -1,8 +1,12 @@
 #include "conv/conv_engine.hpp"
 
+#include "conv/depthwise_conv.hpp"
 #include "conv/direct_conv.hpp"
 #include "conv/fft_conv.hpp"
 #include "conv/gemm_conv.hpp"
+#include "conv/implicit_gemm_conv.hpp"
+#include "conv/quantized_conv.hpp"
+#include "conv/tiled_fft_conv.hpp"
 #include "conv/winograd_conv.hpp"
 
 namespace gpucnn::conv {
@@ -21,27 +25,6 @@ std::string_view to_string(Strategy s) {
   return "unknown";
 }
 
-PackedFilters prepack_filters(const ConvConfig& cfg, const Tensor& filters) {
-  check(filters.shape() == cfg.filter_shape(), "filter shape mismatch");
-  const std::size_t group_filters = cfg.group_filters();
-  const std::size_t ckk =
-      cfg.group_channels() * cfg.kernel * cfg.kernel;
-  PackedFilters packed;
-  packed.groups.reserve(cfg.groups);
-  for (std::size_t g = 0; g < cfg.groups; ++g) {
-    packed.groups.push_back(blas::pack_a(
-        blas::Trans::kNo, group_filters, ckk,
-        {filters.plane(g * group_filters, 0), group_filters * ckk}, ckk));
-  }
-  if (WinogradConv{}.supports(cfg)) {
-    prepack_winograd_filters(cfg, filters, WinogradTile::kF2,
-                             packed.winograd_f2_data, packed.winograd_f2);
-    prepack_winograd_filters(cfg, filters, WinogradTile::kF4,
-                             packed.winograd_f4_data, packed.winograd_f4);
-  }
-  return packed;
-}
-
 void ConvEngine::validate_forward(const ConvConfig& cfg, const Tensor& input,
                                   const Tensor& filters,
                                   const Tensor& output) {
@@ -50,19 +33,37 @@ void ConvEngine::validate_forward(const ConvConfig& cfg, const Tensor& input,
   check(output.shape() == cfg.output_shape(), "output shape mismatch");
 }
 
-std::unique_ptr<ConvEngine> make_engine(Strategy strategy) {
-  switch (strategy) {
-    case Strategy::kDirect:
-      return std::make_unique<DirectConv>();
-    case Strategy::kUnrolling:
-      return std::make_unique<GemmConv>();
-    case Strategy::kFft:
-      return std::make_unique<FftConv>();
-    case Strategy::kWinograd:
-      return std::make_unique<WinogradConv>();
+std::span<const ConvEngine* const> registry() {
+  static const DirectConv direct;
+  static const GemmConv unrolling;
+  static const ImplicitGemmConv implicit;
+  static const FftConv fft;  // half-spectrum
+  static const TiledFftConv fft_tiled;
+  static const WinogradConv winograd;
+  static const DepthwiseConv depthwise;
+  static const WinogradConv winograd_4x4(WinogradTile::kF4);
+  static const QuantizedGemmConv unrolling_int8;
+  static const QuantizedImplicitGemmConv implicit_int8;
+  static const ConvEngine* const all[] = {
+      &direct,    &unrolling, &implicit,       &fft,
+      &fft_tiled, &winograd,  &depthwise,      &winograd_4x4,
+      &unrolling_int8,        &implicit_int8};
+  return all;
+}
+
+const ConvEngine* find_engine(std::string_view name) {
+  for (const ConvEngine* e : registry()) {
+    if (e->name() == name) return e;
+  }
+  return nullptr;
+}
+
+const ConvEngine& strategy_engine(Strategy strategy) {
+  for (const ConvEngine* e : registry()) {
+    if (e->strategy() == strategy) return *e;
   }
   check(false, "unknown convolution strategy");
-  return nullptr;
+  return *registry().front();
 }
 
 }  // namespace gpucnn::conv

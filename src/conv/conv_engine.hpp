@@ -27,27 +27,30 @@ enum class Strategy { kDirect, kUnrolling, kFft, kWinograd };
 
 [[nodiscard]] std::string_view to_string(Strategy s);
 
-/// A conv layer's filters packed once into blas micro-kernel panels
-/// (blas/packed.hpp), one PackedMatrix per group — the GEMM engines'
-/// weight operand. Immutable after construction, so instances are shared
-/// by const reference / shared_ptr across serving workers; each pack
-/// retains a span over the filter tensor it was built from, which must
-/// outlive the pack (the layer owns both).
+/// A conv layer's filters packed once into one engine's weight layout —
+/// blas micro-kernel panels (blas/packed.hpp) the engine's forward GEMMs
+/// consume as their A operand. Built by ConvEngine::prepack(); an engine
+/// consumes only the format its own prepack() builds, so a layer holds
+/// exactly the pack its forward engine reads. Immutable after
+/// construction and shared by shared_ptr across serving workers. Each
+/// panel retains a span over the values it was packed from — the
+/// caller's filter tensor, which must outlive the pack (the layer owns
+/// both), or `transformed` below.
 struct PackedFilters {
-  std::vector<blas::PackedMatrix> groups;
-
-  /// Winograd scattered-GEMM panels: pre-transformed filters U = G g G^T
-  /// laid out [alpha^2][F][C], one PackedMatrix per tile position over
-  /// the owned backing buffer. Built only for Winograd-eligible configs
-  /// (k=3, s=1, pad <= 2, ungrouped); empty otherwise. The backing
-  /// vectors are owned here because — unlike the GEMM groups, whose
-  /// origin is the caller's filter tensor — the transformed values exist
-  /// nowhere else. Move-only: a copy would leave the copied panels'
-  /// origin spans pointing into the source's backing storage.
-  std::vector<float> winograd_f2_data;
-  std::vector<blas::PackedMatrix> winograd_f2;
-  std::vector<float> winograd_f4_data;
-  std::vector<blas::PackedMatrix> winograd_f4;
+  /// Name of the engine whose prepack() built this pack: the format tag
+  /// forward_prepacked() checks before reading the panels.
+  std::string_view format;
+  /// First element of the filter tensor the pack was built from, so an
+  /// owner can tell its own live pack from one of other weights.
+  const float* source = nullptr;
+  /// Weights pre-transformed by the engine (Winograd's U = G g G^T),
+  /// owned here because the values exist nowhere else; empty when the
+  /// panels pack the filter tensor itself. Move-only: a copy would leave
+  /// the copied panels' origin spans pointing into the source's storage.
+  std::vector<float> transformed;
+  /// One panel per GEMM the forward runs: per group, or per Winograd
+  /// tile position.
+  std::vector<blas::PackedMatrix> panels;
 
   PackedFilters() = default;
   PackedFilters(PackedFilters&&) = default;
@@ -55,22 +58,18 @@ struct PackedFilters {
   PackedFilters(const PackedFilters&) = delete;
   PackedFilters& operator=(const PackedFilters&) = delete;
 
+  /// True while the panels match the active SIMD dispatch; a stale pack
+  /// still computes correctly, but stages its origin on every call.
+  [[nodiscard]] bool fresh() const {
+    return !panels.empty() && panels.front().valid();
+  }
+
   [[nodiscard]] std::size_t bytes() const {
-    std::size_t total = 0;
-    for (const auto& g : groups) total += g.bytes();
-    for (const auto& t : winograd_f2) total += t.bytes();
-    for (const auto& t : winograd_f4) total += t.bytes();
-    total += (winograd_f2_data.size() + winograd_f4_data.size()) *
-             sizeof(float);
+    std::size_t total = transformed.size() * sizeof(float);
+    for (const auto& p : panels) total += p.bytes();
     return total;
   }
 };
-
-/// Packs `filters` (cfg.filter_shape()) for the GEMM engines: per group,
-/// W_g(F_g x CKK) becomes the A operand of the forward GEMM. Engines
-/// consume the result through forward_prepacked().
-[[nodiscard]] PackedFilters prepack_filters(const ConvConfig& cfg,
-                                            const Tensor& filters);
 
 /// A convolution implementation: stateless and thread-compatible; all
 /// buffers are caller-owned.
@@ -80,6 +79,9 @@ class ConvEngine {
 
   [[nodiscard]] virtual Strategy strategy() const = 0;
   [[nodiscard]] virtual std::string_view name() const = 0;
+  /// True for the int8 engines: inference-only and lossy, so only
+  /// callers that accepted quantization error may pick them.
+  [[nodiscard]] virtual bool quantized() const { return false; }
 
   /// True when the engine can run this configuration (e.g. FFT engines
   /// require stride 1).
@@ -102,18 +104,24 @@ class ConvEngine {
     return false;
   }
 
-  /// True when the engine can consume prepack_filters() output via
-  /// forward_prepacked() — the pack-once/execute-many inference path.
-  [[nodiscard]] virtual bool supports_prepack() const { return false; }
+  /// Packs `filters` (cfg.filter_shape()) once into the weight layout
+  /// forward_prepacked() consumes — the pack-once/execute-many inference
+  /// path. nullptr when the engine has no prepacked path on cfg (the
+  /// default).
+  [[nodiscard]] virtual std::shared_ptr<const PackedFilters> prepack(
+      const ConvConfig& /*cfg*/, const Tensor& /*filters*/) const {
+    return nullptr;
+  }
 
   /// Fused forward over prepacked filters: bit-identical to
   /// forward_fused(cfg, input, filters, bias, relu, output), reading the
   /// weight panels from `packed` instead of re-packing per GEMM call.
   /// `filters` stays the fallback operand: a stale pack (SIMD dispatch
-  /// changed since packing) or shape-mismatched pack degrades to the
-  /// staged path inside blas, never to a wrong answer. Returns false when
-  /// the engine has no prepacked path (the default); the caller then runs
-  /// forward_fused / the unfused sequence itself.
+  /// changed since packing) degrades to the staged path inside blas,
+  /// never to a wrong answer. Returns false when the engine has no
+  /// prepacked path (the default) or `packed` is in another engine's
+  /// format; the caller then runs forward_fused / the unfused sequence
+  /// itself.
   [[nodiscard]] virtual bool forward_prepacked(
       const ConvConfig&, const Tensor&, const PackedFilters& /*packed*/,
       const Tensor& /*filters*/, std::span<const float> /*bias*/,
@@ -137,7 +145,17 @@ class ConvEngine {
                                const Tensor& filters, const Tensor& output);
 };
 
-/// Factory for the built-in engines.
-[[nodiscard]] std::unique_ptr<ConvEngine> make_engine(Strategy strategy);
+/// Every built-in engine, one shared instance each — the single list of
+/// engines. Order is the autotuner's base search order and the tune-cache
+/// "engines" header: the eight exact fp32 engines, then the two int8
+/// engines. Instances are stateless and thread-compatible.
+[[nodiscard]] std::span<const ConvEngine* const> registry();
+
+/// The registry engine called `name`; nullptr when there is none.
+[[nodiscard]] const ConvEngine* find_engine(std::string_view name);
+
+/// The first registry engine implementing `strategy`: the canonical
+/// engine a layer built for a paper strategy runs.
+[[nodiscard]] const ConvEngine& strategy_engine(Strategy strategy);
 
 }  // namespace gpucnn::conv

@@ -42,6 +42,23 @@ bool set_pointwise_fast_path(bool enabled) {
   return g_pointwise_fast_path.exchange(enabled, std::memory_order_relaxed);
 }
 
+std::shared_ptr<const PackedFilters> pack_gemm_filters(
+    std::string_view format, const ConvConfig& cfg, const Tensor& filters) {
+  check(filters.shape() == cfg.filter_shape(), "filter shape mismatch");
+  const std::size_t group_filters = cfg.group_filters();
+  const std::size_t ckk = cfg.group_channels() * cfg.kernel * cfg.kernel;
+  auto packed = std::make_shared<PackedFilters>();
+  packed->format = format;
+  packed->source = filters.data().data();
+  packed->panels.reserve(cfg.groups);
+  for (std::size_t g = 0; g < cfg.groups; ++g) {
+    packed->panels.push_back(blas::pack_a(
+        Trans::kNo, group_filters, ckk,
+        {filters.plane(g * group_filters, 0), group_filters * ckk}, ckk));
+  }
+  return packed;
+}
+
 void GemmConv::forward(const ConvConfig& cfg, const Tensor& input,
                        const Tensor& filters, Tensor& output) const {
   run_forward(cfg, input, filters, output, nullptr, false);
@@ -63,7 +80,9 @@ bool GemmConv::forward_prepacked(const ConvConfig& cfg, const Tensor& input,
                                  const Tensor& filters,
                                  std::span<const float> bias, bool relu,
                                  Tensor& output) const {
-  if (packed.groups.size() != cfg.groups) return false;
+  if (packed.format != name() || packed.panels.size() != cfg.groups) {
+    return false;
+  }
   check(bias.empty() || bias.size() == cfg.filters,
         "fused bias length must equal the filter count");
   run_forward(cfg, input, filters, output,
@@ -107,7 +126,7 @@ void GemmConv::run_forward(const ConvConfig& cfg, const Tensor& input,
         // Weights come from the per-group pack; a stale or mismatched
         // pack falls back to the staged path inside the driver.
         blas::sgemm_prepacked(gv.filters, cols, ckk, 1.0F,
-                              packed->groups[g], Trans::kNo, b, cols, 0.0F,
+                              packed->panels[g], Trans::kNo, b, cols, 0.0F,
                               out, cols, ep);
       } else {
         blas::sgemm(Trans::kNo, Trans::kNo, gv.filters, cols, ckk, 1.0F,

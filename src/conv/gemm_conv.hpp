@@ -15,6 +15,11 @@ namespace gpucnn::conv {
 /// compare the two; production code leaves it on.
 bool set_pointwise_fast_path(bool enabled);
 
+/// The GEMM engines' weight layout: per group, W_g (F_g x CKK) packed as
+/// the forward GEMM's A operand, tagged with the consuming engine's name.
+[[nodiscard]] std::shared_ptr<const PackedFilters> pack_gemm_filters(
+    std::string_view format, const ConvConfig& cfg, const Tensor& filters);
+
 class GemmConv final : public ConvEngine {
  public:
   [[nodiscard]] Strategy strategy() const override {
@@ -34,7 +39,10 @@ class GemmConv final : public ConvEngine {
                                    const Tensor& filters,
                                    std::span<const float> bias, bool relu,
                                    Tensor& output) const override;
-  [[nodiscard]] bool supports_prepack() const override { return true; }
+  [[nodiscard]] std::shared_ptr<const PackedFilters> prepack(
+      const ConvConfig& cfg, const Tensor& filters) const override {
+    return pack_gemm_filters(name(), cfg, filters);
+  }
   /// Per-group SGEMMs consume the cached weight panels (A operand)
   /// instead of re-packing them every call; the 1x1 fast path benefits
   /// the most since the GEMM is then the whole forward.

@@ -111,7 +111,7 @@ bool ImplicitGemmConv::forward_prepacked(const ConvConfig& cfg,
                                          const Tensor& filters,
                                          std::span<const float> bias,
                                          bool relu, Tensor& output) const {
-  if (packed.groups.size() != 1 || cfg.groups != 1) return false;
+  if (packed.format != name() || cfg.groups != 1) return false;
   check(bias.empty() || bias.size() == cfg.filters,
         "fused bias length must equal the filter count");
   run_forward(cfg, input, filters, output,
@@ -140,7 +140,7 @@ void ImplicitGemmConv::run_forward(const ConvConfig& cfg,
       // the copy-out below moves finished values.
       if (packed != nullptr) {
         blas::sgemm_prepacked(cfg.filters, cols, g.ckk, 1.0F,
-                              packed->groups[0], blas::Trans::kNo,
+                              packed->panels[0], blas::Trans::kNo,
                               {tile.data(), g.ckk * cols}, cols, 0.0F,
                               {out_tile.data(), cfg.filters * cols}, cols,
                               blas::Epilogue{.bias = bias, .relu = relu});

@@ -10,7 +10,7 @@
 // to GemmConv; memory profile identical to DirectConv.
 #pragma once
 
-#include "conv/conv_engine.hpp"
+#include "conv/gemm_conv.hpp"
 
 namespace gpucnn::conv {
 
@@ -35,7 +35,10 @@ class ImplicitGemmConv final : public ConvEngine {
                                    const Tensor& filters,
                                    std::span<const float> bias, bool relu,
                                    Tensor& output) const override;
-  [[nodiscard]] bool supports_prepack() const override { return true; }
+  [[nodiscard]] std::shared_ptr<const PackedFilters> prepack(
+      const ConvConfig& cfg, const Tensor& filters) const override {
+    return supports(cfg) ? pack_gemm_filters(name(), cfg, filters) : nullptr;
+  }
   /// Every output tile re-reads the whole filter matrix, so the cached
   /// weight panels are reused positions/kTile times per image.
   [[nodiscard]] bool forward_prepacked(const ConvConfig& cfg,

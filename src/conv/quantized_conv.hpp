@@ -83,6 +83,7 @@ class QuantizedGemmConv final : public ConvEngine {
   [[nodiscard]] std::string_view name() const override {
     return "unrolling-int8";
   }
+  [[nodiscard]] bool quantized() const override { return true; }
   [[nodiscard]] bool supports(const ConvConfig&) const override {
     return true;
   }
@@ -109,6 +110,7 @@ class QuantizedImplicitGemmConv final : public ConvEngine {
   [[nodiscard]] std::string_view name() const override {
     return "implicit-int8";
   }
+  [[nodiscard]] bool quantized() const override { return true; }
   [[nodiscard]] bool supports(const ConvConfig& cfg) const override {
     return cfg.groups == 1;
   }

@@ -863,15 +863,14 @@ bool WinogradConv::forward_prepacked(const ConvConfig& cfg,
                                      std::span<const float> bias, bool relu,
                                      Tensor& output) const {
   if (!supports(cfg)) return false;
-  const auto& panels = tile_ == WinogradTile::kF2 ? packed.winograd_f2
-                                                  : packed.winograd_f4;
-  if (panels.size() != winograd_positions(tile_)) {
-    // The pack was built without Winograd panels (e.g. for a config the
-    // transform rejects); degrade to the transform-on-the-fly path.
+  const auto& panels = packed.panels;
+  if (packed.format != name() || panels.size() != winograd_positions(tile_)) {
+    // Another engine's pack (GEMM panels, or the other tile size);
+    // degrade to the transform-on-the-fly path.
     fallback_counter().add(1);
     return false;
   }
-  if (!panels.front().valid()) {
+  if (!packed.fresh()) {
     // Stale pack (SIMD dispatch changed since packing): sgemm_prepacked
     // stages each panel's origin per call — correct, but the slow path.
     fallback_counter().add(1);
@@ -966,21 +965,24 @@ void WinogradConv::backward_filter(const ConvConfig& cfg, const Tensor& input,
   });
 }
 
-void prepack_winograd_filters(const ConvConfig& cfg, const Tensor& filters,
-                              WinogradTile tile, std::vector<float>& backing,
-                              std::vector<blas::PackedMatrix>& panels) {
+std::shared_ptr<const PackedFilters> WinogradConv::prepack(
+    const ConvConfig& cfg, const Tensor& filters) const {
+  if (!supports(cfg)) return nullptr;
   check(filters.shape() == cfg.filter_shape(), "filter shape mismatch");
-  const Geometry g = make_geometry(cfg, tile);
+  const Geometry g = make_geometry(cfg, tile_);
   const std::size_t uplane = g.filters * g.channels;
-  backing.assign(g.positions * uplane, 0.0F);
-  transform_filters(g, tile, filters, backing.data());
-  panels.clear();
-  panels.reserve(g.positions);
+  auto packed = std::make_shared<PackedFilters>();
+  packed->format = name();
+  packed->source = filters.data().data();
+  packed->transformed.assign(g.positions * uplane, 0.0F);
+  transform_filters(g, tile_, filters, packed->transformed.data());
+  packed->panels.reserve(g.positions);
   for (std::size_t t = 0; t < g.positions; ++t) {
-    panels.push_back(blas::pack_a(blas::Trans::kNo, g.filters, g.channels,
-                                  {backing.data() + t * uplane, uplane},
-                                  g.channels));
+    packed->panels.push_back(blas::pack_a(
+        blas::Trans::kNo, g.filters, g.channels,
+        {packed->transformed.data() + t * uplane, uplane}, g.channels));
   }
+  return packed;
 }
 
 namespace wino_detail {

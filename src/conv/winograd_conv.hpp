@@ -20,11 +20,9 @@
 // backward-data reuses the forward kernel on the rotated filters, and
 // backward-filter uses the transpose formulation (dU_t = dM_t V_t^T,
 // dg = G^T dU G) — no silent fallback to another engine. Any residual
-// fallback (e.g. a prepack without Winograd panels) increments the
-// conv.winograd.fallbacks counter.
+// fallback (e.g. a pack in another engine's format, or a stale one)
+// increments the conv.winograd.fallbacks counter.
 #pragma once
-
-#include <vector>
 
 #include "conv/conv_engine.hpp"
 
@@ -65,7 +63,11 @@ class WinogradConv final : public ConvEngine {
                                    const Tensor& filters,
                                    std::span<const float> bias, bool relu,
                                    Tensor& output) const override;
-  [[nodiscard]] bool supports_prepack() const override { return true; }
+  /// Pre-transforms the filters once (U = G g G^T, laid out
+  /// [alpha^2][F][C] in the pack's `transformed` buffer) and packs the
+  /// F x C plane of each tile position as a GEMM-A panel.
+  [[nodiscard]] std::shared_ptr<const PackedFilters> prepack(
+      const ConvConfig& cfg, const Tensor& filters) const override;
   [[nodiscard]] bool forward_prepacked(const ConvConfig& cfg,
                                        const Tensor& input,
                                        const PackedFilters& packed,
@@ -85,15 +87,6 @@ class WinogradConv final : public ConvEngine {
  private:
   WinogradTile tile_;
 };
-
-/// Builds the pre-transformed filter panels for one tile size: `backing`
-/// receives U laid out [alpha^2][F][C] and `panels[t]` packs the F x C
-/// plane of tile position t as a GEMM-A operand. `backing` must stay
-/// alive (and un-reallocated) for the panels' lifetime — PackedFilters
-/// owns both.
-void prepack_winograd_filters(const ConvConfig& cfg, const Tensor& filters,
-                              WinogradTile tile, std::vector<float>& backing,
-                              std::vector<blas::PackedMatrix>& panels);
 
 namespace wino_detail {
 // Scalar reference transforms over a single tile, exposed for the

@@ -46,7 +46,7 @@ class Caffe final : public Framework {
     return make_unrolling_plan(cfg, caffe_traits(), "caffe");
   }
   [[nodiscard]] const conv::ConvEngine& engine() const override {
-    return shared_engine(conv::Strategy::kUnrolling);
+    return conv::strategy_engine(conv::Strategy::kUnrolling);
   }
   [[nodiscard]] std::size_t table2_registers() const override { return 86; }
   [[nodiscard]] double table2_smem_kb() const override { return 8.5; }

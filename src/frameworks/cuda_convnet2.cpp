@@ -94,7 +94,7 @@ class CudaConvnet2 final : public Framework {
   }
 
   [[nodiscard]] const conv::ConvEngine& engine() const override {
-    return shared_engine(conv::Strategy::kDirect);
+    return conv::strategy_engine(conv::Strategy::kDirect);
   }
   [[nodiscard]] std::size_t table2_registers() const override {
     return 116;

@@ -314,7 +314,7 @@ class Cudnn final : public Framework {
   }
 
   [[nodiscard]] const conv::ConvEngine& engine() const override {
-    return shared_engine(conv::Strategy::kUnrolling);
+    return conv::strategy_engine(conv::Strategy::kUnrolling);
   }
   [[nodiscard]] std::size_t table2_registers() const override { return 80; }
   [[nodiscard]] double table2_smem_kb() const override { return 8.4; }

@@ -263,7 +263,7 @@ class Fbfft final : public Framework {
   }
 
   [[nodiscard]] const conv::ConvEngine& engine() const override {
-    return shared_engine(conv::Strategy::kFft);
+    return conv::strategy_engine(conv::Strategy::kFft);
   }
   [[nodiscard]] std::size_t table2_registers() const override {
     return 106;

@@ -16,7 +16,4 @@ namespace gpucnn::frameworks::detail {
 [[nodiscard]] std::unique_ptr<Framework> make_fbfft();
 [[nodiscard]] std::unique_ptr<Framework> make_theano_fft();
 
-/// Shared per-strategy numeric engines (stateless, thread-compatible).
-[[nodiscard]] const conv::ConvEngine& shared_engine(conv::Strategy s);
-
 }  // namespace gpucnn::frameworks::detail

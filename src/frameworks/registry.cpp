@@ -1,10 +1,6 @@
 #include <array>
 #include <memory>
 
-#include "conv/direct_conv.hpp"
-#include "conv/fft_conv.hpp"
-#include "conv/gemm_conv.hpp"
-#include "conv/winograd_conv.hpp"
 #include "core/error.hpp"
 #include "frameworks/framework.hpp"
 #include "frameworks/impl_factory.hpp"
@@ -30,29 +26,6 @@ std::string_view to_string(FrameworkId id) {
   }
   return "unknown";
 }
-
-namespace detail {
-
-const conv::ConvEngine& shared_engine(conv::Strategy s) {
-  static const conv::DirectConv direct;
-  static const conv::GemmConv unrolling;
-  static const conv::FftConv fft;
-  static const conv::WinogradConv winograd;
-  switch (s) {
-    case conv::Strategy::kDirect:
-      return direct;
-    case conv::Strategy::kUnrolling:
-      return unrolling;
-    case conv::Strategy::kFft:
-      return fft;
-    case conv::Strategy::kWinograd:
-      return winograd;
-  }
-  check(false, "unknown strategy");
-  return direct;
-}
-
-}  // namespace detail
 
 const Framework& framework(FrameworkId id) {
   static const auto instances = [] {

@@ -50,7 +50,7 @@ class TheanoCorrMM final : public Framework {
     return make_unrolling_plan(cfg, corrmm_traits(), "corrmm");
   }
   [[nodiscard]] const conv::ConvEngine& engine() const override {
-    return shared_engine(conv::Strategy::kUnrolling);
+    return conv::strategy_engine(conv::Strategy::kUnrolling);
   }
   [[nodiscard]] std::size_t table2_registers() const override { return 72; }
   [[nodiscard]] double table2_smem_kb() const override { return 7.0; }

@@ -182,7 +182,7 @@ class TheanoFft final : public Framework {
   }
 
   [[nodiscard]] const conv::ConvEngine& engine() const override {
-    return shared_engine(conv::Strategy::kFft);
+    return conv::strategy_engine(conv::Strategy::kFft);
   }
   [[nodiscard]] std::size_t table2_registers() const override { return 2; }
   [[nodiscard]] double table2_smem_kb() const override { return 4.5; }

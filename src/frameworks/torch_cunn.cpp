@@ -49,7 +49,7 @@ class TorchCunn final : public Framework {
     return plan;
   }
   [[nodiscard]] const conv::ConvEngine& engine() const override {
-    return shared_engine(conv::Strategy::kUnrolling);
+    return conv::strategy_engine(conv::Strategy::kUnrolling);
   }
   [[nodiscard]] std::size_t table2_registers() const override { return 84; }
   [[nodiscard]] double table2_smem_kb() const override { return 8.1; }

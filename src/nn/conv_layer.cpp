@@ -10,33 +10,29 @@ ConvLayer::ConvLayer(std::string name, ConvConfig geometry,
                      conv::Strategy strategy)
     : Layer(std::move(name)),
       geometry_(geometry),
-      engine_(conv::make_engine(strategy)),
+      engine_(&conv::strategy_engine(strategy)),
       weights_(geometry.filter_shape()),
       bias_(1, geometry.filters, 1, 1),
       grad_weights_(geometry.filter_shape()),
       grad_bias_(1, geometry.filters, 1, 1) {}
 
 void ConvLayer::set_strategy(conv::Strategy strategy) {
-  engine_ = conv::make_engine(strategy);
+  engine_ = &conv::strategy_engine(strategy);
   prepacked_.reset();
 }
 
 void ConvLayer::freeze_for_inference() {
-  // The pack format is engine-agnostic (the forward GEMM's A operand),
-  // but only worth building when some forward could consume it: the
-  // static engine, or — under autotuning — the GEMM engines the tuner
-  // may pick.
-  if (!engine_->supports_prepack() && !auto_tune_) return;
-  // Already holding a live pack of this very buffer (packed here
-  // earlier, or adopted from the weight owner): keep sharing it.
-  if (prepacked_ != nullptr && !prepacked_->groups.empty() &&
-      prepacked_->groups.front().valid() &&
-      prepacked_->groups.front().origin().data() ==
-          weights_.data().data()) {
+  // Pack only for the engine the inference forward will run: the
+  // tuner's pick at the geometry batch, otherwise the static engine.
+  const conv::ConvEngine& engine = engine_for(geometry_, tune::Pass::kForward);
+  // Already holding a live pack of this very buffer in that engine's
+  // format (packed here earlier, or adopted from the weight owner):
+  // keep sharing it.
+  if (prepacked_ != nullptr && prepacked_->format == engine.name() &&
+      prepacked_->source == weights_.data().data() && prepacked_->fresh()) {
     return;
   }
-  prepacked_ = std::make_shared<const conv::PackedFilters>(
-      conv::prepack_filters(geometry_, weights_));
+  prepacked_ = engine.prepack(geometry_, weights_);
 }
 
 void ConvLayer::adopt_prepack(const Layer& owner) {

@@ -53,13 +53,16 @@ class ConvLayer final : public Layer {
   [[nodiscard]] const conv::ConvEngine& engine() const { return *engine_; }
 
   /// Swaps the convolution strategy (weights are untouched; any packed
-  /// filter cache is dropped — the new engine may not consume it).
+  /// filter cache is dropped — it is in the old engine's format).
   void set_strategy(conv::Strategy strategy);
 
-  /// Packs the filters once for the GEMM engines; every subsequent
-  /// inference forward consumes the cached panels (zero per-call weight
-  /// packing). Skipped when neither the static engine nor the autotuner
-  /// could pick a prepack-capable engine.
+  /// Packs the filters once in the format of the engine the inference
+  /// forward runs — the autotuner's pick at the geometry batch when
+  /// tuning is on, the static engine otherwise — so every subsequent
+  /// forward on that engine consumes the cached panels (zero per-call
+  /// weight packing). Holds no pack when that engine has no prepacked
+  /// path; a forward on another engine (a different batch can tune
+  /// differently) runs the staged path.
   void freeze_for_inference() override;
 
   /// Returning to training drops the packed cache: the optimizer is
@@ -96,7 +99,7 @@ class ConvLayer final : public Layer {
                                                    tune::Pass pass) const;
 
   ConvConfig geometry_;
-  std::unique_ptr<conv::ConvEngine> engine_;
+  const conv::ConvEngine* engine_;  ///< a conv::registry() instance
   Tensor weights_;
   Tensor bias_;
   Tensor grad_weights_;

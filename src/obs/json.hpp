@@ -1,12 +1,14 @@
 // Minimal ordered JSON document model backing every observability export
 // (run manifests, metric snapshots, Chrome traces — see docs/METRICS.md).
 // Objects preserve insertion order so exports are deterministic and
-// diffable; numbers render via shortest-round-trip formatting. No
-// external dependencies.
+// diffable; numbers render via shortest-round-trip formatting. A reader
+// for the same subset (parse_json) loads documents back, e.g. tune
+// caches. No external dependencies.
 #pragma once
 
 #include <cstddef>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -77,5 +79,10 @@ class Json {
 /// Renders a double the way Json does: shortest round-trip decimal;
 /// non-finite values become "null" (JSON has no NaN/inf literals).
 [[nodiscard]] std::string json_number(double value);
+
+/// Parses one JSON document (the subset Json writes, nesting at most 64
+/// levels deep); nullopt on any syntax error, on deeper nesting, on an
+/// out-of-range number or on trailing content. Safe on untrusted input.
+[[nodiscard]] std::optional<Json> parse_json(std::string_view text);
 
 }  // namespace gpucnn::obs

@@ -37,6 +37,9 @@ InferenceServer::InferenceServer(
 
   prototype_.set_training(false);
   if (options_.fuse_conv_relu) prototype_.fuse_conv_relu();
+  // Tuned like the instances, so freezing packs each conv for the engine
+  // the instances' forwards pick.
+  prototype_.enable_autotune(options_.autotune);
   Rng rng(options_.seed);
   prototype_.initialize(rng);
   // Pack the prototype's weights once; every instance then aliases the

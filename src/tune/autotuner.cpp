@@ -1,21 +1,13 @@
 #include "tune/autotuner.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "analysis/recommend.hpp"
-#include "conv/depthwise_conv.hpp"
-#include "conv/direct_conv.hpp"
-#include "conv/fft_conv.hpp"
-#include "conv/gemm_conv.hpp"
-#include "conv/implicit_gemm_conv.hpp"
-#include "conv/quantized_conv.hpp"
-#include "conv/tiled_fft_conv.hpp"
-#include "conv/winograd_conv.hpp"
 #include "core/cpu_features.hpp"
 #include "core/rng.hpp"
 #include "core/tensor.hpp"
@@ -53,93 +45,57 @@ obs::Gauge& ms_spent_gauge() {
   return g;
 }
 
-/// The fp32 candidate pool: every distinct exact engine, in a fixed base
-/// order. Index 1 (unrolling) is the static default every ConvLayer
-/// starts with.
-std::span<const conv::ConvEngine* const> candidates() {
-  static const conv::DirectConv direct;
-  static const conv::GemmConv gemm;
-  static const conv::ImplicitGemmConv implicit;
-  static const conv::FftConv fft;              // half-spectrum
-  static const conv::TiledFftConv fft_tiled;
-  static const conv::WinogradConv winograd;
-  static const conv::DepthwiseConv depthwise;
-  static const conv::WinogradConv winograd_f4(conv::WinogradTile::kF4);
-  static const conv::ConvEngine* const all[] = {
-      &direct,    &gemm,      &implicit,   &fft,
-      &fft_tiled, &winograd,  &depthwise,  &winograd_f4};
-  return all;
-}
-
-/// The int8 pool, offered *in addition* to the fp32 pool, and only to
-/// Dtype::kInt8 callers on the forward pass (the engines are
-/// inference-only and lossy).
-std::span<const conv::ConvEngine* const> int8_candidates() {
-  static const conv::QuantizedGemmConv gemm_int8;
-  static const conv::QuantizedImplicitGemmConv implicit_int8;
-  static const conv::ConvEngine* const all[] = {&gemm_int8,
-                                                &implicit_int8};
-  return all;
-}
-
-constexpr std::size_t kDefaultIndex = 1;  // GemmConv ("unrolling")
-
-/// Combined indexing: [0, candidates().size()) are the fp32 engines,
-/// the int8 engines follow.
-const conv::ConvEngine* engine_at(std::size_t idx) {
-  const auto fp32 = candidates();
-  return idx < fp32.size() ? fp32[idx]
-                           : int8_candidates()[idx - fp32.size()];
-}
-
 bool int8_pool_eligible(Pass pass, Dtype dtype) {
   return dtype == Dtype::kInt8 && pass == Pass::kForward;
 }
 
-/// Comma-joined names of every engine this binary ships, in pool order —
-/// the cache header field that invalidates caches written by binaries
-/// with a different engine set.
+/// The (pass, dtype) candidate pool: every exact fp32 engine, plus the
+/// int8 engines for int8 forward callers only (they are inference-only
+/// and lossy).
+bool in_pool(const conv::ConvEngine& engine, Pass pass, Dtype dtype) {
+  return !engine.quantized() || int8_pool_eligible(pass, dtype);
+}
+
+/// Comma-joined names of every engine this binary ships, in registry
+/// order — the cache header field that invalidates caches written by
+/// binaries with a different engine set.
 std::string engine_set_string() {
   std::string out;
-  for (const auto* e : candidates()) {
+  for (const conv::ConvEngine* e : conv::registry()) {
     if (!out.empty()) out += ',';
-    out += std::string(e->name());
-  }
-  for (const auto* e : int8_candidates()) {
-    out += ',';
-    out += std::string(e->name());
+    out += e->name();
   }
   return out;
 }
 
-/// Search order for `cfg`: candidates sorted by the recommend model's
+/// Search order for `cfg`: the pool sorted by the recommend model's
 /// simulated runtimes (fastest strategy first), so on real hardware the
 /// likely winner is measured first and slow candidates hit the prune
-/// check. Engines the model cannot rank (Winograd post-dates the paper)
-/// append in base order.
-std::vector<std::size_t> prior_order(const ConvConfig& cfg, Pass pass,
-                                     Dtype dtype) {
-  std::vector<std::size_t> order;
-  order.reserve(candidates().size() + int8_candidates().size());
-  const auto push_unique = [&order](std::size_t idx) {
-    if (std::find(order.begin(), order.end(), idx) == order.end()) {
-      order.push_back(idx);
+/// check. Engines the model cannot rank append in registry order.
+std::vector<const conv::ConvEngine*> prior_order(const ConvConfig& cfg,
+                                                 Pass pass, Dtype dtype) {
+  std::vector<const conv::ConvEngine*> order;
+  order.reserve(conv::registry().size());
+  const auto push = [&](const conv::ConvEngine* engine) {
+    if (in_pool(*engine, pass, dtype) &&
+        std::find(order.begin(), order.end(), engine) == order.end()) {
+      order.push_back(engine);
     }
   };
 
   // Int8 callers: the quantized engines lead the search — they are the
   // likely winners, so measuring them first arms the prune check before
   // the slower fp32 candidates run.
-  if (int8_pool_eligible(pass, dtype)) {
-    for (std::size_t i = 0; i < int8_candidates().size(); ++i) {
-      push_unique(candidates().size() + i);
-    }
+  for (const conv::ConvEngine* e : conv::registry()) {
+    if (e->quantized()) push(e);
   }
 
   // Depthwise-degenerate shapes: the specialised engine is the likely
   // winner (no im2col traffic, no wasted reduction), so it leads the
   // search; the recommend model below only knows the paper's strategies.
-  if (cfg.groups == cfg.channels && cfg.groups > 1) push_unique(6);
+  if (cfg.groups == cfg.channels && cfg.groups > 1) {
+    push(conv::find_engine("depthwise"));
+  }
 
   // Zoo-dominant 3x3/stride-1 shapes: the scattered-GEMM Winograd
   // engines win once the GEMMs are deep and wide enough to amortise the
@@ -150,8 +106,8 @@ std::vector<std::size_t> prior_order(const ConvConfig& cfg, Pass pass,
   if (cfg.kernel == 3 && cfg.stride == 1 && cfg.groups == 1 &&
       cfg.pad <= 2 && cfg.channels >= 64 && cfg.filters >= 64 &&
       cfg.input >= 28) {
-    push_unique(7);
-    push_unique(5);
+    push(conv::find_engine("winograd-f4"));
+    push(conv::find_engine("winograd"));
   }
 
   analysis::Recommendation rec;
@@ -168,26 +124,15 @@ std::vector<std::size_t> prior_order(const ConvConfig& cfg, Pass pass,
             [](const auto* a, const auto* b) {
               return a->runtime_ms < b->runtime_ms;
             });
+  // Each ranked strategy brings every engine implementing it, in
+  // registry order (e.g. im2col GEMM, then its zero-workspace variant).
   for (const auto* r : ranked) {
-    switch (frameworks::framework(r->framework).strategy()) {
-      case conv::Strategy::kUnrolling:
-        push_unique(1);  // im2col GEMM, then its zero-workspace variant
-        push_unique(2);
-        break;
-      case conv::Strategy::kDirect:
-        push_unique(0);
-        break;
-      case conv::Strategy::kFft:
-        push_unique(3);
-        push_unique(4);
-        break;
-      case conv::Strategy::kWinograd:
-        push_unique(5);
-        push_unique(7);
-        break;
+    const conv::Strategy s = frameworks::framework(r->framework).strategy();
+    for (const conv::ConvEngine* e : conv::registry()) {
+      if (e->strategy() == s) push(e);
     }
   }
-  for (std::size_t i = 0; i < candidates().size(); ++i) push_unique(i);
+  for (const conv::ConvEngine* e : conv::registry()) push(e);
   return order;
 }
 
@@ -196,7 +141,7 @@ std::vector<std::size_t> prior_order(const ConvConfig& cfg, Pass pass,
 struct Workload {
   Tensor input, filters, output, grad_output, grad_input, grad_filters;
 
-  std::unique_ptr<conv::PackedFilters> packed;
+  std::shared_ptr<const conv::PackedFilters> packed;
 
   explicit Workload(const ConvConfig& cfg) {
     Rng rng(0x7u);
@@ -211,18 +156,13 @@ struct Workload {
     grad_filters.resize(cfg.filter_shape());
   }
 
-  /// Builds the packed-filter cache when `engine` can consume it on the
-  /// forward pass. Called outside every timed region: the timed runs
-  /// then measure the pack-once/execute-many form the inference layers
-  /// actually execute after freeze_for_inference(). The pack is
-  /// engine-agnostic, so one build serves every candidate.
+  /// Builds `engine`'s own packed-filter cache for the forward pass.
+  /// Called outside every timed region: the timed runs then measure the
+  /// pack-once/execute-many form the inference layers actually execute
+  /// after freeze_for_inference().
   void prepare(const conv::ConvEngine& engine, const ConvConfig& cfg,
                Pass pass) {
-    if (pass == Pass::kForward && packed == nullptr &&
-        engine.supports_prepack()) {
-      packed = std::make_unique<conv::PackedFilters>(
-          conv::prepack_filters(cfg, filters));
-    }
+    packed = pass == Pass::kForward ? engine.prepack(cfg, filters) : nullptr;
   }
 
   void run(const conv::ConvEngine& engine, const ConvConfig& cfg,
@@ -290,161 +230,6 @@ std::optional<Dtype> dtype_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-const conv::ConvEngine* engine_from_name(std::string_view name) {
-  for (const auto* e : candidates()) {
-    if (e->name() == name) return e;
-  }
-  for (const auto* e : int8_candidates()) {
-    if (e->name() == name) return e;
-  }
-  return nullptr;
-}
-
-bool is_int8_engine(const conv::ConvEngine* engine) {
-  for (const auto* e : int8_candidates()) {
-    if (e == engine) return true;
-  }
-  return false;
-}
-
-// --- minimal JSON parser (obs::Json is a writer-only document model) ---
-// Accepts exactly the subset the cache writer emits: objects, arrays,
-// strings with \"\\/bfnrt(u) escapes, numbers, true/false/null.
-
-struct JsonParser {
-  std::string_view text;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
-      ++pos;
-    }
-  }
-  [[nodiscard]] char peek() {
-    skip_ws();
-    return pos < text.size() ? text[pos] : '\0';
-  }
-  bool consume(char c) {
-    if (peek() != c) {
-      ok = false;
-      return false;
-    }
-    ++pos;
-    return true;
-  }
-  bool consume_word(std::string_view word) {
-    skip_ws();
-    if (text.substr(pos, word.size()) != word) {
-      ok = false;
-      return false;
-    }
-    pos += word.size();
-    return true;
-  }
-
-  obs::Json parse_value() {
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return obs::Json(parse_string());
-      case 't': consume_word("true"); return obs::Json(true);
-      case 'f': consume_word("false"); return obs::Json(false);
-      case 'n': consume_word("null"); return {};
-      default: return parse_number();
-    }
-  }
-
-  std::string parse_string() {
-    std::string out;
-    if (!consume('"')) return out;
-    while (pos < text.size() && text[pos] != '"') {
-      char c = text[pos++];
-      if (c == '\\' && pos < text.size()) {
-        const char esc = text[pos++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'u':
-            pos = std::min(pos + 4, text.size());  // non-ASCII: drop
-            continue;
-          default: c = esc; break;  // \" \\ \/
-        }
-      }
-      out.push_back(c);
-    }
-    consume('"');
-    return out;
-  }
-
-  obs::Json parse_number() {
-    skip_ws();
-    const char* begin = text.data() + pos;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) {
-      ok = false;
-      return {};
-    }
-    pos += static_cast<std::size_t>(end - begin);
-    return obs::Json(v);
-  }
-
-  obs::Json parse_array() {
-    obs::Json arr = obs::Json::array();
-    consume('[');
-    if (peek() == ']') {
-      ++pos;
-      return arr;
-    }
-    while (ok) {
-      arr.push(parse_value());
-      if (peek() == ',') {
-        ++pos;
-        continue;
-      }
-      consume(']');
-      break;
-    }
-    return arr;
-  }
-
-  obs::Json parse_object() {
-    obs::Json obj = obs::Json::object();
-    consume('{');
-    if (peek() == '}') {
-      ++pos;
-      return obj;
-    }
-    while (ok) {
-      std::string key = parse_string();
-      consume(':');
-      obj.set(std::move(key), parse_value());
-      if (peek() == ',') {
-        ++pos;
-        continue;
-      }
-      consume('}');
-      break;
-    }
-    return obj;
-  }
-};
-
-/// Parses `text`; returns nullopt on any syntax error.
-std::optional<obs::Json> parse_json(std::string_view text) {
-  JsonParser p{text};
-  obs::Json v = p.parse_value();
-  if (!p.ok) return std::nullopt;
-  p.skip_ws();
-  if (p.pos != text.size()) return std::nullopt;
-  return v;
-}
-
 double number_or(const obs::Json& obj, std::string_view key, double fallback) {
   const obs::Json* v = obj.find(key);
   return v != nullptr && v->type() == obs::Json::Type::kNumber ? v->as_number()
@@ -455,6 +240,31 @@ std::string string_or(const obs::Json& obj, std::string_view key) {
   const obs::Json* v = obj.find(key);
   return v != nullptr && v->type() == obs::Json::Type::kString ? v->as_string()
                                                                : std::string{};
+}
+
+/// The config fields of a cache entry, or nullopt unless every field is
+/// an integral number in [0, 2^53] and together they form a valid
+/// geometry — checked before any cast, since the file is untrusted.
+std::optional<ConvConfig> config_from(const obs::Json& entry) {
+  constexpr std::array<std::string_view, 8> kFields = {
+      "batch",  "input",  "channels", "filters",
+      "kernel", "stride", "pad",      "groups"};
+  std::array<std::size_t, 8> f{};
+  for (std::size_t i = 0; i < kFields.size(); ++i) {
+    const double v = number_or(entry, kFields[i], -1.0);
+    if (!(v >= 0.0 && v <= 9007199254740992.0) || v != std::floor(v)) {
+      return std::nullopt;
+    }
+    f[i] = static_cast<std::size_t>(v);
+  }
+  const ConvConfig cfg{f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7]};
+  if (cfg.batch == 0) return std::nullopt;
+  try {
+    (void)cfg.output();  // throws on a kernel, stride or group mismatch
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+  return cfg;
 }
 
 /// Thread count folded into the cache key: workers + the caller-runs
@@ -583,9 +393,8 @@ Decision Autotuner::decide_locked(const ConvConfig& cfg, Pass pass,
 
 Decision Autotuner::heuristic_locked(const ConvConfig& cfg, Pass pass,
                                      Dtype dtype) {
-  (void)pass;  // the model prior does not distinguish passes
-  for (const std::size_t idx : prior_order(cfg, pass, dtype)) {
-    const conv::ConvEngine* engine = engine_at(idx);
+  // The model prior does not distinguish passes; the pool does.
+  for (const conv::ConvEngine* engine : prior_order(cfg, pass, dtype)) {
     if (engine->supports(cfg)) {
       return {.engine = engine,
               .engine_name = engine->name(),
@@ -594,8 +403,8 @@ Decision Autotuner::heuristic_locked(const ConvConfig& cfg, Pass pass,
               .measured = false};
     }
   }
-  const conv::ConvEngine* fallback = candidates()[kDefaultIndex];
-  return {.engine = fallback, .engine_name = fallback->name()};
+  const conv::ConvEngine& fallback = default_engine();
+  return {.engine = &fallback, .engine_name = fallback.name()};
 }
 
 Decision Autotuner::measure_locked(const ConvConfig& cfg, Pass pass,
@@ -605,8 +414,7 @@ Decision Autotuner::measure_locked(const ConvConfig& cfg, Pass pass,
   double best_ms = 0.0;
   double baseline_ms = 0.0;
 
-  for (const std::size_t idx : prior_order(cfg, pass, dtype)) {
-    const conv::ConvEngine* engine = engine_at(idx);
+  for (const conv::ConvEngine* engine : prior_order(cfg, pass, dtype)) {
     if (!engine->supports(cfg)) continue;
     work.prepare(*engine, cfg, pass);
     double warmup = 0.0;
@@ -630,14 +438,14 @@ Decision Autotuner::measure_locked(const ConvConfig& cfg, Pass pass,
         ms = std::min(ms, rep);
       }
     }
-    if (idx == kDefaultIndex) baseline_ms = ms;
+    if (engine == &default_engine()) baseline_ms = ms;
     if (best_engine == nullptr || ms < best_ms) {
       best_engine = engine;
       best_ms = ms;
     }
   }
   ms_spent_gauge().set(ms_spent_);
-  if (best_engine == nullptr) best_engine = candidates()[kDefaultIndex];
+  if (best_engine == nullptr) best_engine = &default_engine();
   return {.engine = best_engine,
           .engine_name = best_engine->name(),
           .best_ms = best_ms,
@@ -649,13 +457,9 @@ std::vector<EngineTiming> Autotuner::measure_all(const ConvConfig& cfg,
                                                  Pass pass, Dtype dtype) {
   std::lock_guard lock(mutex_);
   Workload work(cfg);
-  const std::size_t pool_size =
-      candidates().size() +
-      (int8_pool_eligible(pass, dtype) ? int8_candidates().size() : 0);
   std::vector<EngineTiming> timings;
-  timings.reserve(pool_size);
-  for (std::size_t idx = 0; idx < pool_size; ++idx) {
-    const conv::ConvEngine* engine = engine_at(idx);
+  for (const conv::ConvEngine* engine : conv::registry()) {
+    if (!in_pool(*engine, pass, dtype)) continue;
     EngineTiming t{.engine_name = engine->name()};
     if (engine->supports(cfg)) {
       t.eligible = true;
@@ -730,18 +534,16 @@ std::size_t Autotuner::load_cache(const std::string& path) {
 }
 
 std::size_t Autotuner::ingest_cache_text(const std::string& text) {
-  const auto parsed = parse_json(text);
+  const auto parsed = obs::parse_json(text);
   if (!parsed) return 0;
   const obs::Json& root = *parsed;
   // Whole-file key: version, SIMD level and thread count must all match
-  // this process, otherwise every timing in the file is suspect.
-  if (static_cast<int>(number_or(root, "tune_cache_version", -1)) !=
-      kCacheVersion) {
-    return 0;
-  }
+  // this process, otherwise every timing in the file is suspect. The
+  // comparisons stay in double: the file's numbers are untrusted.
+  if (number_or(root, "tune_cache_version", -1) != kCacheVersion) return 0;
   if (string_or(root, "simd") != simd::name(simd::active())) return 0;
-  if (static_cast<std::size_t>(number_or(root, "threads", 0)) !=
-      active_threads()) {
+  if (number_or(root, "threads", 0) !=
+      static_cast<double>(active_threads())) {
     return 0;
   }
   // The engine set must match the running binary: a cache written by a
@@ -754,16 +556,9 @@ std::size_t Autotuner::ingest_cache_text(const std::string& text) {
   }
   std::size_t kept = 0;
   for (const obs::Json& entry : entries->items()) {
-    if (entry.type() != obs::Json::Type::kObject) continue;
-    const ConvConfig cfg{
-        static_cast<std::size_t>(number_or(entry, "batch", 0)),
-        static_cast<std::size_t>(number_or(entry, "input", 0)),
-        static_cast<std::size_t>(number_or(entry, "channels", 0)),
-        static_cast<std::size_t>(number_or(entry, "filters", 0)),
-        static_cast<std::size_t>(number_or(entry, "kernel", 0)),
-        static_cast<std::size_t>(number_or(entry, "stride", 0)),
-        static_cast<std::size_t>(number_or(entry, "pad", 0)),
-        static_cast<std::size_t>(number_or(entry, "groups", 0))};
+    const auto config = config_from(entry);
+    if (!config) continue;
+    const ConvConfig& cfg = *config;
     const auto pass = pass_from_name(string_or(entry, "pass"));
     if (!pass) continue;
     const auto dtype = dtype_from_name(string_or(entry, "dtype"));
@@ -776,10 +571,10 @@ std::size_t Autotuner::ingest_cache_text(const std::string& text) {
         static_cast<unsigned long long>(key_hash(cfg, *pass, *dtype)));
     if (string_or(entry, "hash") != hex) continue;
     const conv::ConvEngine* engine =
-        engine_from_name(string_or(entry, "engine"));
-    if (engine == nullptr || !engine->supports(cfg)) continue;
+        conv::find_engine(string_or(entry, "engine"));
     // An int8 engine can only ever have won in the int8 forward pool.
-    if (is_int8_engine(engine) && !int8_pool_eligible(*pass, *dtype)) {
+    if (engine == nullptr || !in_pool(*engine, *pass, *dtype) ||
+        !engine->supports(cfg)) {
       continue;
     }
     memo_[make_key(cfg, *pass, *dtype)] =
@@ -839,7 +634,7 @@ int Autotuner::set_trials_for_testing(int trials) {
 }
 
 const conv::ConvEngine& default_engine() {
-  return *candidates()[kDefaultIndex];
+  return conv::strategy_engine(conv::Strategy::kUnrolling);
 }
 
 }  // namespace gpucnn::tune

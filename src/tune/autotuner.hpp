@@ -43,7 +43,7 @@ enum class Pass { kForward, kBackwardData, kBackwardFilter };
 
 enum class Mode { kOff, kHeuristic, kMeasure };
 
-/// Numeric flavour a caller wants tuned. kF32 callers see only the six
+/// Numeric flavour a caller wants tuned. kF32 callers see only the
 /// exact fp32 engines (quantized engines would silently change results);
 /// kInt8 callers — quantized conv layers, which have already accepted
 /// quantization error — additionally get the int8 engines in the

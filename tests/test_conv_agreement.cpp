@@ -5,7 +5,8 @@
 // test_direct_conv.cpp).
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <string_view>
+#include <vector>
 
 #include "conv/conv_engine.hpp"
 #include "core/rng.hpp"
@@ -41,12 +42,12 @@ TEST_P(ConvAgreement, ForwardAgreesAcrossStrategies) {
   Tensor filters(cfg.filter_shape());
   filters.fill_uniform(rng);
 
-  const auto direct = make_engine(Strategy::kDirect);
+  const auto* direct = &strategy_engine(Strategy::kDirect);
   Tensor want(cfg.output_shape());
   direct->forward(cfg, input, filters, want);
 
   for (const Strategy s : {Strategy::kUnrolling, Strategy::kFft, Strategy::kWinograd}) {
-    const auto engine = make_engine(s);
+    const auto* engine = &strategy_engine(s);
     if (!engine->supports(cfg)) continue;
     Tensor got(cfg.output_shape());
     engine->forward(cfg, input, filters, got);
@@ -63,12 +64,12 @@ TEST_P(ConvAgreement, BackwardDataAgreesAcrossStrategies) {
   Tensor filters(cfg.filter_shape());
   filters.fill_uniform(rng);
 
-  const auto direct = make_engine(Strategy::kDirect);
+  const auto* direct = &strategy_engine(Strategy::kDirect);
   Tensor want(cfg.input_shape());
   direct->backward_data(cfg, grad_output, filters, want);
 
   for (const Strategy s : {Strategy::kUnrolling, Strategy::kFft, Strategy::kWinograd}) {
-    const auto engine = make_engine(s);
+    const auto* engine = &strategy_engine(s);
     if (!engine->supports(cfg)) continue;
     Tensor got(cfg.input_shape());
     engine->backward_data(cfg, grad_output, filters, got);
@@ -85,7 +86,7 @@ TEST_P(ConvAgreement, BackwardFilterAgreesAcrossStrategies) {
   Tensor grad_output(cfg.output_shape());
   grad_output.fill_uniform(rng);
 
-  const auto direct = make_engine(Strategy::kDirect);
+  const auto* direct = &strategy_engine(Strategy::kDirect);
   Tensor want(cfg.filter_shape());
   direct->backward_filter(cfg, input, grad_output, want);
 
@@ -97,7 +98,7 @@ TEST_P(ConvAgreement, BackwardFilterAgreesAcrossStrategies) {
                  static_cast<double>(cfg.output()));
 
   for (const Strategy s : {Strategy::kUnrolling, Strategy::kFft, Strategy::kWinograd}) {
-    const auto engine = make_engine(s);
+    const auto* engine = &strategy_engine(s);
     if (!engine->supports(cfg)) continue;
     Tensor got(cfg.filter_shape());
     engine->backward_filter(cfg, input, grad_output, got);
@@ -142,7 +143,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(FftConvLimits, RejectsStrideGreaterThanOne) {
   const ConvConfig cfg{.batch = 1, .input = 8, .channels = 1, .filters = 1,
                        .kernel = 3, .stride = 2};
-  const auto engine = make_engine(Strategy::kFft);
+  const auto* engine = &strategy_engine(Strategy::kFft);
   EXPECT_FALSE(engine->supports(cfg));
   Tensor input(cfg.input_shape());
   Tensor filters(cfg.filter_shape());
@@ -151,17 +152,45 @@ TEST(FftConvLimits, RejectsStrideGreaterThanOne) {
 }
 
 TEST(EngineFactory, ProducesAllStrategies) {
-  EXPECT_EQ(make_engine(Strategy::kDirect)->strategy(), Strategy::kDirect);
-  EXPECT_EQ(make_engine(Strategy::kUnrolling)->strategy(),
+  EXPECT_EQ(strategy_engine(Strategy::kDirect).strategy(), Strategy::kDirect);
+  EXPECT_EQ(strategy_engine(Strategy::kUnrolling).strategy(),
             Strategy::kUnrolling);
-  EXPECT_EQ(make_engine(Strategy::kFft)->strategy(), Strategy::kFft);
+  EXPECT_EQ(strategy_engine(Strategy::kFft).strategy(), Strategy::kFft);
 }
 
 TEST(EngineFactory, NamesMatchStrategyStrings) {
   for (const Strategy s :
        {Strategy::kDirect, Strategy::kUnrolling, Strategy::kFft,
         Strategy::kWinograd}) {
-    EXPECT_EQ(make_engine(s)->name(), to_string(s));
+    EXPECT_EQ(strategy_engine(s).name(), to_string(s));
+  }
+}
+
+TEST(EngineRegistry, ListsEveryEngineOnceInTuneOrder) {
+  std::vector<std::string_view> names;
+  for (const ConvEngine* e : registry()) names.push_back(e->name());
+  const std::vector<std::string_view> expected = {
+      "direct",    "unrolling", "implicit-gemm", "fft",
+      "fft-tiled", "winograd",  "depthwise",     "winograd-f4",
+      "unrolling-int8",         "implicit-int8"};
+  EXPECT_EQ(names, expected);
+  for (const ConvEngine* e : registry()) {
+    EXPECT_EQ(find_engine(e->name()), e) << e->name();
+    EXPECT_EQ(e->quantized(), e->name().ends_with("-int8")) << e->name();
+  }
+  EXPECT_EQ(find_engine("fft-complex"), nullptr);
+  EXPECT_EQ(find_engine(""), nullptr);
+}
+
+TEST(EngineRegistry, StrategyEngineIsTheFirstEngineOfItsStrategy) {
+  for (const Strategy s : {Strategy::kDirect, Strategy::kUnrolling,
+                           Strategy::kFft, Strategy::kWinograd}) {
+    const ConvEngine& engine = strategy_engine(s);
+    EXPECT_EQ(engine.strategy(), s);
+    for (const ConvEngine* e : registry()) {
+      if (e == &engine) break;
+      EXPECT_NE(e->strategy(), s) << e->name() << " precedes " << engine.name();
+    }
   }
 }
 

@@ -51,7 +51,7 @@ TEST_P(ConvProperty, AdjointIdentitiesHoldForAllStrategies) {
 
   for (const Strategy s : {Strategy::kDirect, Strategy::kUnrolling,
                            Strategy::kFft, Strategy::kWinograd}) {
-    const auto engine = make_engine(s);
+    const auto* engine = &strategy_engine(s);
     if (!engine->supports(cfg)) continue;
 
     Tensor y(cfg.output_shape());
@@ -75,7 +75,7 @@ TEST_P(ConvProperty, AdjointIdentitiesHoldForAllStrategies) {
 TEST_P(ConvProperty, ForwardIsLinearInInput) {
   Rng rng(GetParam() * 31 + 7);
   const ConvConfig cfg = random_config(rng, /*stride_one=*/true);
-  const auto engine = make_engine(Strategy::kUnrolling);
+  const auto* engine = &strategy_engine(Strategy::kUnrolling);
 
   Tensor x1(cfg.input_shape());
   x1.fill_uniform(rng);
@@ -112,10 +112,10 @@ TEST_P(ConvProperty, RandomGeometriesAgreeAcrossStrategies) {
   w.fill_uniform(rng);
 
   Tensor want(cfg.output_shape());
-  make_engine(Strategy::kDirect)->forward(cfg, x, w, want);
+  strategy_engine(Strategy::kDirect).forward(cfg, x, w, want);
   for (const Strategy s :
        {Strategy::kUnrolling, Strategy::kFft, Strategy::kWinograd}) {
-    const auto engine = make_engine(s);
+    const auto* engine = &strategy_engine(s);
     if (!engine->supports(cfg)) continue;
     Tensor got(cfg.output_shape());
     engine->forward(cfg, x, w, got);

@@ -82,7 +82,7 @@ TEST_P(GroupedConv, MatchesBlockDiagonalDenseConvolution) {
   direct.forward(dense, x, w_dense, want);
 
   for (const Strategy s : {Strategy::kDirect, Strategy::kUnrolling}) {
-    const auto engine = make_engine(s);
+    const auto* engine = &strategy_engine(s);
     ASSERT_TRUE(engine->supports(grouped));
     Tensor got(grouped.output_shape());
     engine->forward(grouped, x, w, got);
@@ -101,7 +101,7 @@ TEST_P(GroupedConv, BackwardPassesAgreeAcrossEngines) {
   gout.fill_uniform(rng);
 
   DirectConv direct;
-  const auto gemm = make_engine(Strategy::kUnrolling);
+  const auto* gemm = &strategy_engine(Strategy::kUnrolling);
 
   Tensor want_gx(cfg.input_shape());
   Tensor got_gx(cfg.input_shape());
@@ -162,12 +162,12 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(GroupedConvLimits, FftWinogradImplicitRejectGroups) {
   const ConvConfig cfg{.batch = 1, .input = 8, .channels = 4, .filters = 4,
                        .kernel = 3, .stride = 1, .groups = 2};
-  EXPECT_FALSE(make_engine(Strategy::kFft)->supports(cfg));
-  EXPECT_FALSE(make_engine(Strategy::kWinograd)->supports(cfg));
+  EXPECT_FALSE(strategy_engine(Strategy::kFft).supports(cfg));
+  EXPECT_FALSE(strategy_engine(Strategy::kWinograd).supports(cfg));
   EXPECT_FALSE(ImplicitGemmConv().supports(cfg));
   EXPECT_FALSE(TiledFftConv().supports(cfg));
-  EXPECT_TRUE(make_engine(Strategy::kDirect)->supports(cfg));
-  EXPECT_TRUE(make_engine(Strategy::kUnrolling)->supports(cfg));
+  EXPECT_TRUE(strategy_engine(Strategy::kDirect).supports(cfg));
+  EXPECT_TRUE(strategy_engine(Strategy::kUnrolling).supports(cfg));
 }
 
 // The autotuner's full fp32 pool.

@@ -81,6 +81,35 @@ TEST(JsonTest, SetReplacesExistingKey) {
   EXPECT_EQ(doc.dump_string(), R"({"k":2})");
 }
 
+TEST(JsonTest, ParseReadsBackWhatTheWriterWrote) {
+  Json doc = Json::object();
+  doc.set("s", "a\"b\\c\n").set("n", -12.5e-3).set("t", true).set("z", Json());
+  Json arr = Json::array();
+  arr.push(1).push(Json::object()).push(Json::array());
+  doc.set("arr", std::move(arr));
+  for (const int indent : {0, 2}) {
+    const auto parsed = parse_json(doc.dump_string(indent));
+    ASSERT_TRUE(parsed.has_value()) << "indent " << indent;
+    EXPECT_EQ(parsed->dump_string(), doc.dump_string());
+  }
+}
+
+TEST(JsonTest, ParseRejectsMalformedAndTooDeepInput) {
+  for (const std::string_view bad :
+       {"", "[", "{\"a\":}", "[1,]x", "01x", "inf", "-nan", "0x1p3", "+1",
+        "1e999", "\"open", "tru", "[1] 2"}) {
+    EXPECT_FALSE(parse_json(bad).has_value()) << bad;
+  }
+  // 64 nested levels parse; the 65th is refused rather than recursed.
+  const auto nested = [](int levels) {
+    return std::string(static_cast<std::size_t>(levels), '[') +
+           std::string(static_cast<std::size_t>(levels), ']');
+  };
+  EXPECT_TRUE(parse_json(nested(64)).has_value());
+  EXPECT_FALSE(parse_json(nested(65)).has_value());
+  EXPECT_FALSE(parse_json(std::string(100'000, '[')).has_value());
+}
+
 // --------------------------------------------------------------- Trace
 
 TEST(TraceTest, DisabledTracerRecordsNothing) {

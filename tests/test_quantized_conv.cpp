@@ -43,7 +43,7 @@ void expect_quantized_close_to_fp32(const ConvConfig& cfg, bool implicit,
     bias[i] = 0.1F * static_cast<float>(i % 5) - 0.2F;
   }
 
-  const auto fp32 = make_engine(Strategy::kUnrolling);
+  const auto* fp32 = &strategy_engine(Strategy::kUnrolling);
   Tensor want(cfg.output_shape());
   ASSERT_TRUE(fp32->forward_fused(cfg, input, filters, bias, relu, want));
 

@@ -10,13 +10,16 @@
 
 #include "core/error.hpp"
 #include "nn/activation_layer.hpp"
+#include "nn/conv_layer.hpp"
 #include "nn/fc_layer.hpp"
 #include "nn/model_spec.hpp"
 #include "nn/network.hpp"
+#include "obs/metrics.hpp"
 #include "serve/latency.hpp"
 #include "serve/model_instance.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/server.hpp"
+#include "tune/autotuner.hpp"
 
 namespace gpucnn::serve {
 namespace {
@@ -266,6 +269,56 @@ TEST(InferenceServer, ServesModelZooLeNetBatched) {
   }
   server.shutdown();
   EXPECT_GE(server.stats().max_batch_observed, 1U);
+}
+
+TEST(InferenceServer, AutotunedInstancesRunTheirConvsPrepacked) {
+  // The static engine (fft) has no prepacked path, but every instance
+  // forward runs the tuner's pick; the prototype must pack for that pick
+  // so the instances adopt a pack they can consume.
+  auto& tuner = tune::Autotuner::instance();
+  const tune::Mode mode_before = tuner.mode();
+  const std::string path_before = tuner.set_cache_path("");
+  tuner.set_mode(tune::Mode::kHeuristic);
+  const ConvConfig geometry{.batch = 1, .input = 16, .channels = 8,
+                            .filters = 16, .kernel = 3, .stride = 1,
+                            .pad = 1};
+  const auto make = [&] {
+    nn::Network net;
+    net.emplace<nn::ConvLayer>("conv", geometry, conv::Strategy::kFft);
+    net.emplace<nn::ActivationLayer>("relu", nn::Activation::kRelu);
+    net.emplace<nn::FcLayer>("fc", 16 * 16 * 16, 10);
+    return net;
+  };
+  ServerOptions opts;
+  opts.workers = 1;
+  opts.batch = {.max_batch = 1, .max_delay_us = 100};
+  opts.input = {1, 8, 16, 16};
+  opts.autotune = true;
+  opts.warmup = false;
+  {
+    InferenceServer server(make, opts);
+    const auto& conv_layer =
+        dynamic_cast<const nn::ConvLayer&>(server.prototype().layer(0));
+    const conv::ConvEngine* tuned =
+        tuner.choose(geometry, tune::Pass::kForward);
+    ASSERT_NE(tuned, nullptr);
+    ASSERT_NE(conv_layer.prepacked(), nullptr)
+        << "the prototype packed nothing for the tuned engine";
+    EXPECT_EQ(conv_layer.prepacked()->format, tuned->name());
+
+    auto& packed_a = obs::metrics().counter("blas.sgemm.bytes_packed_a");
+    auto& hits = obs::metrics().counter("blas.sgemm.prepack_hits");
+    const std::int64_t packed_before = packed_a.value();
+    const std::int64_t hits_before = hits.value();
+    (void)server.submit(image(8, 16, 16, 0.5F)).get();
+    server.shutdown();
+    EXPECT_EQ(packed_a.value(), packed_before)
+        << "an instance re-packed conv weights per request";
+    EXPECT_GT(hits.value(), hits_before);
+  }
+  tuner.clear();
+  (void)tuner.set_cache_path(path_before);
+  tuner.set_mode(mode_before);
 }
 
 // ------------------------------------------------------ weight sharing

@@ -113,7 +113,7 @@ TEST(WinogradLimits, ForwardThrowsOnUnsupported) {
 }
 
 TEST(WinogradFactory, AvailableThroughMakeEngine) {
-  const auto engine = make_engine(Strategy::kWinograd);
+  const auto* engine = &strategy_engine(Strategy::kWinograd);
   EXPECT_EQ(engine->strategy(), Strategy::kWinograd);
   EXPECT_EQ(engine->name(), "winograd");
   EXPECT_EQ(to_string(Strategy::kWinograd), "winograd");

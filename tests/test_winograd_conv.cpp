@@ -168,17 +168,22 @@ TEST(WinogradPrepack, PackBuildsOnePanelPerTilePosition) {
   Tensor w(cfg.filter_shape());
   w.fill_uniform(rng);
 
-  const PackedFilters packed = prepack_filters(cfg, w);
-  EXPECT_EQ(packed.winograd_f2.size(), winograd_positions(WinogradTile::kF2));
-  EXPECT_EQ(packed.winograd_f4.size(), winograd_positions(WinogradTile::kF4));
-  EXPECT_EQ(packed.winograd_f2_data.size(),
-            16 * cfg.filters * cfg.channels);
-  EXPECT_EQ(packed.winograd_f4_data.size(),
-            36 * cfg.filters * cfg.channels);
-  // The pack accounts for the panels it owns.
-  std::size_t gemm_only = 0;
-  for (const auto& g : packed.groups) gemm_only += g.bytes();
-  EXPECT_GT(packed.bytes(), gemm_only);
+  for (const WinogradTile tile : kTiles) {
+    const WinogradConv engine(tile);
+    const auto packed = engine.prepack(cfg, w);
+    ASSERT_NE(packed, nullptr) << label_of(tile);
+    EXPECT_EQ(packed->format, engine.name());
+    EXPECT_EQ(packed->source, w.data().data());
+    const std::size_t positions = winograd_positions(tile);
+    EXPECT_EQ(packed->panels.size(), positions) << label_of(tile);
+    EXPECT_EQ(packed->transformed.size(),
+              positions * cfg.filters * cfg.channels)
+        << label_of(tile);
+    // The pack accounts for the transformed values it owns.
+    std::size_t panels_only = 0;
+    for (const auto& p : packed->panels) panels_only += p.bytes();
+    EXPECT_GT(packed->bytes(), panels_only) << label_of(tile);
+  }
 }
 
 TEST(WinogradPrepack, IneligibleConfigsGetNoWinogradSections) {
@@ -187,11 +192,9 @@ TEST(WinogradPrepack, IneligibleConfigsGetNoWinogradSections) {
   Rng rng(35);
   Tensor w(cfg.filter_shape());
   w.fill_uniform(rng);
-  const PackedFilters packed = prepack_filters(cfg, w);
-  EXPECT_TRUE(packed.winograd_f2.empty());
-  EXPECT_TRUE(packed.winograd_f4.empty());
-  EXPECT_TRUE(packed.winograd_f2_data.empty());
-  EXPECT_TRUE(packed.winograd_f4_data.empty());
+  for (const WinogradTile tile : kTiles) {
+    EXPECT_EQ(WinogradConv(tile).prepack(cfg, w), nullptr) << label_of(tile);
+  }
 }
 
 TEST(WinogradPrepack, PrepackedForwardIsBitIdenticalToStaged) {
@@ -204,15 +207,16 @@ TEST(WinogradPrepack, PrepackedForwardIsBitIdenticalToStaged) {
   w.fill_uniform(rng);
   std::vector<float> bias(cfg.filters);
   for (auto& b : bias) b = static_cast<float>(rng.uniform(-0.5, 0.5));
-  const PackedFilters packed = prepack_filters(cfg, w);
 
   for (const WinogradTile tile : kTiles) {
     const WinogradConv engine(tile);
+    const auto packed = engine.prepack(cfg, w);
+    ASSERT_NE(packed, nullptr) << label_of(tile);
     for (const bool relu : {false, true}) {
       Tensor staged(cfg.output_shape());
       ASSERT_TRUE(engine.forward_fused(cfg, in, w, bias, relu, staged));
       Tensor prepacked(cfg.output_shape());
-      ASSERT_TRUE(engine.forward_prepacked(cfg, in, packed, w, bias, relu,
+      ASSERT_TRUE(engine.forward_prepacked(cfg, in, *packed, w, bias, relu,
                                            prepacked))
           << label_of(tile);
       EXPECT_EQ(max_abs_diff(staged, prepacked), 0.0)
@@ -234,10 +238,17 @@ TEST(WinogradPrepack, PackWithoutPanelsFallsBackAndCounts) {
   const auto& fallbacks =
       obs::metrics().counter("conv.winograd.fallbacks");
   const std::int64_t before = fallbacks.value();
-  const PackedFilters empty_pack;  // no winograd sections at all
-  EXPECT_FALSE(WinogradConv{}.forward_prepacked(cfg, in, empty_pack, w, {},
+  // Packs in another engine's format: GEMM panels, and the other tile
+  // size's panels. Each refuses and counts one fallback.
+  const auto gemm_pack = strategy_engine(Strategy::kUnrolling).prepack(cfg, w);
+  const auto f4_pack = WinogradConv(WinogradTile::kF4).prepack(cfg, w);
+  ASSERT_NE(gemm_pack, nullptr);
+  ASSERT_NE(f4_pack, nullptr);
+  EXPECT_FALSE(WinogradConv{}.forward_prepacked(cfg, in, *gemm_pack, w, {},
                                                 false, out));
-  EXPECT_EQ(fallbacks.value(), before + 1);
+  EXPECT_FALSE(WinogradConv{}.forward_prepacked(cfg, in, *f4_pack, w, {},
+                                                false, out));
+  EXPECT_EQ(fallbacks.value(), before + 2);
 }
 
 // --- Tile-size agreement --------------------------------------------------

@@ -205,73 +205,34 @@ def validate_serving_table(directory, entry):
               f" p99 {row['p99_ms']})")
 
 
-INT8_COLUMNS = {"case", "fp32_real_ns", "int8_real_ns", "speedup"}
+# Paired-timing tables (bench_cpu_kernels), keyed by file-name prefix:
+# each row pairs a baseline benchmark with its twin on the same case —
+# fp32 vs int8, staged vs prepacked weights, staged GEMM vs prepacked
+# Winograd — as (baseline column, twin column).
+PAIRED_TABLES = {
+    "BENCH_int8": ("fp32_real_ns", "int8_real_ns"),
+    "BENCH_prepack": ("staged_real_ns", "prepacked_real_ns"),
+    "BENCH_winograd": ("gemm_real_ns", "winograd_real_ns"),
+}
 
 
-def validate_int8_table(directory, entry):
-    """BENCH_int8 schema (bench_cpu_kernels): each row pairs an fp32
-    benchmark with its int8 twin; the speedup column must be their
-    actual ratio."""
+def validate_paired_table(directory, entry, table, base_col, twin_col):
+    """One paired table: required columns, positive timings, and a
+    speedup column equal to baseline/twin within 1e-3."""
     doc = load_json(directory / entry["file"])
     name = entry["file"]
-    missing = INT8_COLUMNS - set(doc.get("columns", []))
-    check(not missing,
-          f"{name}: BENCH_int8 missing columns {sorted(missing)}")
+    missing = ({"case", base_col, twin_col, "speedup"}
+               - set(doc.get("columns", [])))
+    check(not missing, f"{name}: {table} missing columns {sorted(missing)}")
     for i, row in enumerate(doc.get("rows", [])):
-        fp32 = float(row["fp32_real_ns"])
-        int8 = float(row["int8_real_ns"])
+        base = float(row[base_col])
+        twin = float(row[twin_col])
         speedup = float(row["speedup"])
-        check(fp32 > 0 and int8 > 0,
+        check(base > 0 and twin > 0,
               f"{name}: row {i}: non-positive timing")
-        check(abs(speedup - fp32 / int8) <= 1e-3 * speedup + 1e-6,
-              f"{name}: row {i}: speedup {speedup} != fp32/int8"
-              f" {fp32 / int8}")
-
-
-PREPACK_COLUMNS = {"case", "staged_real_ns", "prepacked_real_ns", "speedup"}
-
-
-def validate_prepack_table(directory, entry):
-    """BENCH_prepack schema (bench_cpu_kernels): each row pairs a staged
-    per-call-packing benchmark with its prepacked twin; the speedup
-    column must be their actual ratio."""
-    doc = load_json(directory / entry["file"])
-    name = entry["file"]
-    missing = PREPACK_COLUMNS - set(doc.get("columns", []))
-    check(not missing,
-          f"{name}: BENCH_prepack missing columns {sorted(missing)}")
-    for i, row in enumerate(doc.get("rows", [])):
-        staged = float(row["staged_real_ns"])
-        prepacked = float(row["prepacked_real_ns"])
-        speedup = float(row["speedup"])
-        check(staged > 0 and prepacked > 0,
-              f"{name}: row {i}: non-positive timing")
-        check(abs(speedup - staged / prepacked) <= 1e-3 * speedup + 1e-6,
-              f"{name}: row {i}: speedup {speedup} != staged/prepacked"
-              f" {staged / prepacked}")
-
-
-WINOGRAD_COLUMNS = {"case", "gemm_real_ns", "winograd_real_ns", "speedup"}
-
-
-def validate_winograd_table(directory, entry):
-    """BENCH_winograd schema (bench_cpu_kernels): each row pairs the
-    staged fused GemmConv forward with a prepacked Winograd tile size on
-    the same shape; the speedup column must be their actual ratio."""
-    doc = load_json(directory / entry["file"])
-    name = entry["file"]
-    missing = WINOGRAD_COLUMNS - set(doc.get("columns", []))
-    check(not missing,
-          f"{name}: BENCH_winograd missing columns {sorted(missing)}")
-    for i, row in enumerate(doc.get("rows", [])):
-        gemm = float(row["gemm_real_ns"])
-        winograd = float(row["winograd_real_ns"])
-        speedup = float(row["speedup"])
-        check(gemm > 0 and winograd > 0,
-              f"{name}: row {i}: non-positive timing")
-        check(abs(speedup - gemm / winograd) <= 1e-3 * speedup + 1e-6,
-              f"{name}: row {i}: speedup {speedup} != gemm/winograd"
-              f" {gemm / winograd}")
+        check(abs(speedup - base / twin) <= 1e-3 * speedup + 1e-6,
+              f"{name}: row {i}: speedup {speedup} != {base_col}/{twin_col}"
+              f" {base / twin}")
 
 
 def validate_tune_cache(path):
@@ -338,12 +299,10 @@ def validate_directory(directory):
         kind = entry["kind"]
         if kind == "table_json":
             validate_table(directory, entry, documented)
-            if entry["file"].startswith("BENCH_int8"):
-                validate_int8_table(directory, entry)
-            if entry["file"].startswith("BENCH_prepack"):
-                validate_prepack_table(directory, entry)
-            if entry["file"].startswith("BENCH_winograd"):
-                validate_winograd_table(directory, entry)
+            for table, (base_col, twin_col) in PAIRED_TABLES.items():
+                if entry["file"].startswith(table):
+                    validate_paired_table(directory, entry, table, base_col,
+                                          twin_col)
         elif kind == "table_csv":
             validate_csv(directory, entry)
         elif kind == "metrics":
