@@ -348,9 +348,7 @@ void BM_ConvFusedBiasRelu(benchmark::State& state) {
   const auto bias = random_vec(kFusedCfg.filters, 10);
   Tensor out(kFusedCfg.output_shape());
   for (auto _ : state) {
-    const bool fused =
-        engine.forward_fused(kFusedCfg, in, w, bias, /*relu=*/true, out);
-    if (!fused) state.SkipWithError("GemmConv lost its fused path");
+    engine.forward(kFusedCfg, in, w, out, {.bias = bias, .relu = true});
     benchmark::DoNotOptimize(out.raw());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
@@ -451,9 +449,7 @@ void BM_Fp32ConvForward(benchmark::State& state) {
   const auto bias = random_vec(cfg.filters, 10);
   Tensor out(cfg.output_shape());
   for (auto _ : state) {
-    const bool fused =
-        engine.forward_fused(cfg, in, w, bias, /*relu=*/true, out);
-    if (!fused) state.SkipWithError("GemmConv lost its fused path");
+    engine.forward(cfg, in, w, out, {.bias = bias, .relu = true});
     benchmark::DoNotOptimize(out.raw());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
@@ -479,8 +475,8 @@ void BM_Int8ConvForward(benchmark::State& state) {
       (cfg.channels / cfg.groups) * cfg.kernel * cfg.kernel);
   const quant::ActQuant aq = quant::choose_act_quant(-1.0F, 1.0F);
   for (auto _ : state) {
-    conv::quantized_gemm_forward(cfg, in, qw, aq, bias, /*relu=*/true,
-                                 out);
+    conv::quantized_gemm_forward(cfg, in, qw, nullptr, aq, bias,
+                                 /*relu=*/true, out);
     benchmark::DoNotOptimize(out.raw());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
@@ -556,9 +552,8 @@ void BM_PrepackedConvForward(benchmark::State& state) {
   Tensor out(cfg.output_shape());
   const auto packed = engine.prepack(cfg, w);
   for (auto _ : state) {
-    const bool ran = engine.forward_prepacked(cfg, in, *packed, w, bias,
-                                              /*relu=*/true, out);
-    if (!ran) state.SkipWithError("GemmConv refused its own pack");
+    engine.forward(cfg, in, w, out,
+                   {.bias = bias, .relu = true, .packed = packed.get()});
     benchmark::DoNotOptimize(out.raw());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
@@ -587,9 +582,8 @@ void winograd_forward_bench(benchmark::State& state,
   Tensor out(cfg.output_shape());
   const auto packed = engine.prepack(cfg, w);
   for (auto _ : state) {
-    const bool ran = engine.forward_prepacked(cfg, in, *packed, w, bias,
-                                              /*relu=*/true, out);
-    if (!ran) state.SkipWithError("WinogradConv refused its own pack");
+    engine.forward(cfg, in, w, out,
+                   {.bias = bias, .relu = true, .packed = packed.get()});
     benchmark::DoNotOptimize(out.raw());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "analysis/conv_runner.hpp"
+#include "blas/vector_ops.hpp"
 #include "conv/conv_engine.hpp"
 #include "conv/fft_conv.hpp"
 #include "conv/quantized_conv.hpp"
@@ -18,6 +19,7 @@
 #include "frameworks/framework.hpp"
 #include "nn/activation_layer.hpp"
 #include "nn/conv_layer.hpp"
+#include "obs/metrics.hpp"
 #include "tune/autotuner.hpp"
 
 namespace gpucnn::analysis {
@@ -352,6 +354,54 @@ void check_config(const ConvConfig& cfg, std::uint64_t seed,
 
 void check_fused(const ConvConfig& cfg, std::uint64_t seed,
                  std::size_t index, FuzzReport& report) {
+  auto fail = [&](const std::string& what) {
+    add_failure(report, index, cfg, "fused conv+bias+relu: " + what);
+  };
+
+  // Every exact engine's own epilogue: a forward with a bias, ReLU off
+  // and on, against its plain forward followed by blas::add_bias and
+  // the clamp.
+  Rng engine_rng(mix(seed, index) + 6);
+  Tensor engine_input(cfg.input_shape());
+  engine_input.fill_uniform(engine_rng);
+  Tensor filters(cfg.filter_shape());
+  filters.fill_uniform(engine_rng);
+  std::vector<float> bias(cfg.filters);
+  for (auto& b : bias) b = static_cast<float>(engine_rng.uniform(-0.5, 0.5));
+  for (const conv::ConvEngine* engine : conv::registry()) {
+    if (engine->quantized() || !engine->supports(cfg)) continue;
+    Tensor want(cfg.output_shape());
+    try {
+      engine->forward(cfg, engine_input, filters, want);
+    } catch (const std::exception& e) {
+      fail(std::string(engine->name()) + " plain forward threw: " +
+           e.what());
+      continue;
+    }
+    blas::add_bias(want.data(), bias, cfg.batch, cfg.filters,
+                   cfg.output() * cfg.output());
+    for (const bool relu : {false, true}) {
+      const std::string label =
+          std::string(engine->name()) + (relu ? " bias+relu" : " bias");
+      if (relu) {
+        for (float& v : want.data()) v = v > 0.0F ? v : 0.0F;
+      }
+      Tensor got(cfg.output_shape());
+      try {
+        engine->forward(cfg, engine_input, filters, got,
+                        {.bias = bias, .relu = relu});
+      } catch (const std::exception& e) {
+        fail(label + " threw: " + e.what());
+        continue;
+      }
+      ++report.fused_checks;
+      if (max_abs_diff(want, got) != 0.0) {
+        fail(label + " is not bit-identical to forward + add_bias" +
+             (relu ? " + clamp" : ""));
+      }
+    }
+  }
+
   // Two layer stacks with identical parameters: fused conv+bias+ReLU vs
   // the conv -> separate ReLU reference. Identical initialisation comes
   // from reseeding the same Rng for both.
@@ -373,10 +423,6 @@ void check_fused(const ConvConfig& cfg, std::uint64_t seed,
   input.fill_uniform(rng);
   Tensor grad_output(cfg.output_shape());
   grad_output.fill_uniform(rng);
-
-  auto fail = [&](const std::string& what) {
-    add_failure(report, index, cfg, "fused conv+bias+relu: " + what);
-  };
 
   Tensor fused_out;
   Tensor plain_conv;
@@ -431,10 +477,8 @@ void check_int8(const ConvConfig& cfg, std::uint64_t seed,
   Tensor ref_fused(cfg.output_shape());
   try {
     fp32->forward(cfg, input, filters, ref_plain);
-    if (!fp32->forward_fused(cfg, input, filters, bias, true, ref_fused)) {
-      fail("fp32 reference has no fused epilogue");
-      return;
-    }
+    fp32->forward(cfg, input, filters, ref_fused,
+                  {.bias = bias, .relu = true});
   } catch (const std::exception& e) {
     fail(std::string("fp32 reference threw: ") + e.what());
     return;
@@ -484,10 +528,11 @@ void check_int8(const ConvConfig& cfg, std::uint64_t seed,
     Tensor got(cfg.output_shape());
     try {
       if (v.implicit) {
-        conv::quantized_implicit_forward(cfg, input, qw, aq, b, v.relu,
-                                         got);
+        conv::quantized_implicit_forward(cfg, input, qw, nullptr, aq, b,
+                                         v.relu, got);
       } else {
-        conv::quantized_gemm_forward(cfg, input, qw, aq, b, v.relu, got);
+        conv::quantized_gemm_forward(cfg, input, qw, nullptr, aq, b, v.relu,
+                                     got);
       }
     } catch (const std::exception& e) {
       fail(std::string(v.label) + " threw: " + e.what());
@@ -522,48 +567,67 @@ void check_prepack(const ConvConfig& cfg, std::uint64_t seed,
     add_failure(report, index, cfg, "prepacked forward: " + what);
   };
 
-  // Every engine with a prepacked path, with and without the fused
-  // epilogue: the staged twin runs the same kernels (Winograd runs the
-  // identical filter transform per call); only the weight panels come
-  // from a per-call pack instead of the engine's own cache, so agreement
-  // must be exact.
+  // Every registry engine's own pack (engines without a prepacked path
+  // build none).
+  std::vector<std::shared_ptr<const conv::PackedFilters>> packs;
   for (const conv::ConvEngine* engine : conv::registry()) {
-    std::shared_ptr<const conv::PackedFilters> packed;
     try {
-      packed = engine->prepack(cfg, filters);
+      if (auto packed = engine->prepack(cfg, filters)) {
+        packs.push_back(std::move(packed));
+      }
     } catch (const std::exception& e) {
       fail(std::string(engine->name()) + " prepack threw: " + e.what());
-      continue;
     }
-    if (packed == nullptr) continue;
+  }
+
+  // Every engine against its staged forward, with and without the fused
+  // epilogue: handed its own pack it runs the same kernels (Winograd runs
+  // the identical filter transform per call) with the weight panels read
+  // from the cache instead of a per-call pack, and handed any other
+  // engine's pack it must run staged. Either way agreement must be
+  // exact, and reading its own pack must pack no weight bytes.
+  const auto& packed_a = obs::metrics().counter("blas.sgemm.bytes_packed_a");
+  for (const conv::ConvEngine* engine : conv::registry()) {
+    if (!engine->supports(cfg)) continue;
     for (const bool relu : {false, true}) {
-      const std::string label =
-          std::string(engine->name()) + (relu ? " fused" : " plain");
       const std::span<const float> b =
           relu ? std::span<const float>(bias) : std::span<const float>();
       Tensor staged(cfg.output_shape());
-      Tensor reused(cfg.output_shape());
       try {
-        if (!engine->forward_fused(cfg, input, filters, b, relu, staged)) {
-          fail(label + ": staged forward refused the config");
-          continue;
-        }
-        if (!engine->forward_prepacked(cfg, input, *packed, filters, b, relu,
-                                       reused)) {
-          fail(label + ": forward_prepacked refused its own pack");
-          continue;
-        }
+        engine->forward(cfg, input, filters, staged,
+                        {.bias = b, .relu = relu});
       } catch (const std::exception& e) {
-        fail(label + " threw: " + e.what());
+        fail(std::string(engine->name()) + " staged forward threw: " +
+             e.what());
         continue;
       }
-      ++report.prepack_checks;
-      if (!finite(reused)) {
-        fail(label + " produced non-finite values");
-        continue;
-      }
-      if (max_abs_diff(staged, reused) != 0.0) {
-        fail(label + " is not bit-identical to the staged forward");
+      for (const auto& packed : packs) {
+        const bool own = packed->format == engine->name();
+        // Foreign packs once each, on the fused epilogue.
+        if (!own && !relu) continue;
+        const std::string label =
+            std::string(engine->name()) + (relu ? " fused" : " plain") +
+            (own ? "" : " with a " + std::string(packed->format) + " pack");
+        Tensor reused(cfg.output_shape());
+        const std::int64_t packed_before = packed_a.value();
+        try {
+          engine->forward(cfg, input, filters, reused,
+                          {.bias = b, .relu = relu, .packed = packed.get()});
+        } catch (const std::exception& e) {
+          fail(label + " threw: " + e.what());
+          continue;
+        }
+        ++report.prepack_checks;
+        if (own && packed_a.value() != packed_before) {
+          fail(label + " re-packed its weights instead of reading its pack");
+        }
+        if (!finite(reused)) {
+          fail(label + " produced non-finite values");
+          continue;
+        }
+        if (max_abs_diff(staged, reused) != 0.0) {
+          fail(label + " is not bit-identical to the staged forward");
+        }
       }
     }
   }
@@ -599,14 +663,14 @@ void check_prepack(const ConvConfig& cfg, std::uint64_t seed,
     Tensor reused(cfg.output_shape());
     try {
       if (v.implicit) {
-        conv::quantized_implicit_forward(cfg, input, qw, aq, b, v.relu,
-                                         staged);
-        conv::quantized_implicit_forward(cfg, input, qw, qpacked, aq, b,
+        conv::quantized_implicit_forward(cfg, input, qw, nullptr, aq, b,
+                                         v.relu, staged);
+        conv::quantized_implicit_forward(cfg, input, qw, &qpacked, aq, b,
                                          v.relu, reused);
       } else {
-        conv::quantized_gemm_forward(cfg, input, qw, aq, b, v.relu,
+        conv::quantized_gemm_forward(cfg, input, qw, nullptr, aq, b, v.relu,
                                      staged);
-        conv::quantized_gemm_forward(cfg, input, qw, qpacked, aq, b,
+        conv::quantized_gemm_forward(cfg, input, qw, &qpacked, aq, b,
                                      v.relu, reused);
       }
     } catch (const std::exception& e) {

@@ -58,7 +58,7 @@ struct FuzzReport {
   std::size_t engine_skips = 0;   ///< unsupported (engine, config) pairs
   std::size_t plan_checks = 0;    ///< framework plans validated
   std::size_t plan_skips = 0;     ///< shape-limited (framework, config)
-  std::size_t fused_checks = 0;   ///< fused-vs-unfused layer comparisons
+  std::size_t fused_checks = 0;   ///< fused-vs-unfused comparisons
   std::size_t int8_checks = 0;    ///< int8-vs-fp32 forward comparisons
   std::size_t prepack_checks = 0;  ///< prepacked-vs-staged comparisons
   std::size_t tune_checks = 0;    ///< tune-cache round-trips validated
@@ -90,9 +90,11 @@ struct FuzzReport {
 void check_config(const ConvConfig& cfg, std::uint64_t seed,
                   std::size_t index, FuzzReport& report);
 
-/// Cross-checks a fused conv+bias+ReLU ConvLayer against the unfused
+/// Cross-checks every exact engine's bias and bias+ReLU epilogue
+/// against its plain forward followed by blas::add_bias and the clamp,
+/// then a fused conv+bias+ReLU ConvLayer against the unfused
 /// ConvLayer -> ActivationLayer pair with identical parameters: forward
-/// output and all three gradients must match bit for bit, on all passes.
+/// output and all three gradients. Every comparison is bit for bit.
 void check_fused(const ConvConfig& cfg, std::uint64_t seed,
                  std::size_t index, FuzzReport& report);
 
@@ -106,12 +108,14 @@ void check_fused(const ConvConfig& cfg, std::uint64_t seed,
 void check_int8(const ConvConfig& cfg, std::uint64_t seed,
                 std::size_t index, FuzzReport& report);
 
-/// Cross-checks the prepacked forwards against their staged twins with
-/// identical inputs, weights, and fused bias+ReLU epilogues: im2col+GEMM
-/// and (groups == 1) implicit-GEMM in fp32, plus both int8 quantized
-/// paths. Pack-once/execute-many reuses the exact panel bytes the staged
-/// path packs per call, so every comparison demands bit-identity — any
-/// difference is a packing-layout or offset bug, not rounding.
+/// Cross-checks prepacked forwards against their staged twins with
+/// identical inputs, weights, and fused bias+ReLU epilogues: every
+/// registry engine handed its own pack (which it must read without
+/// re-packing weights) and every other engine's pack (which it must
+/// ignore), plus both int8 quantized paths. Pack-once/execute-many
+/// reuses the exact panel bytes the staged path packs per call, so every
+/// comparison demands bit-identity — any difference is a packing-layout
+/// or offset bug, not rounding.
 void check_prepack(const ConvConfig& cfg, std::uint64_t seed,
                    std::size_t index, FuzzReport& report);
 

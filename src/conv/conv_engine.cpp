@@ -1,5 +1,8 @@
 #include "conv/conv_engine.hpp"
 
+#include <source_location>
+
+#include "blas/vector_ops.hpp"
 #include "conv/depthwise_conv.hpp"
 #include "conv/direct_conv.hpp"
 #include "conv/fft_conv.hpp"
@@ -25,12 +28,37 @@ std::string_view to_string(Strategy s) {
   return "unknown";
 }
 
-void ConvEngine::validate_forward(const ConvConfig& cfg, const Tensor& input,
-                                  const Tensor& filters,
-                                  const Tensor& output) {
+void ConvEngine::forward(const ConvConfig& cfg, const Tensor& input,
+                         const Tensor& filters, Tensor& output,
+                         const Epilogue& epilogue) const {
   check(input.shape() == cfg.input_shape(), "input shape mismatch");
   check(filters.shape() == cfg.filter_shape(), "filter shape mismatch");
   check(output.shape() == cfg.output_shape(), "output shape mismatch");
+  check(epilogue.bias.empty() || epilogue.bias.size() == cfg.filters,
+        "bias length must equal the filter count");
+  check_fmt(supports(cfg), std::source_location::current(), name(),
+            " does not support this convolution geometry");
+  run_forward(cfg, input, filters, output, epilogue);
+}
+
+const PackedFilters* ConvEngine::own_pack(const Epilogue& epilogue,
+                                         std::size_t panels) const {
+  const PackedFilters* packed = epilogue.packed;
+  return packed != nullptr && packed->format == name() &&
+                 packed->panels.size() == panels
+             ? packed
+             : nullptr;
+}
+
+void ConvEngine::apply_epilogue(const ConvConfig& cfg,
+                                const Epilogue& epilogue, Tensor& output) {
+  if (!epilogue.bias.empty()) {
+    blas::add_bias(output.data(), epilogue.bias, cfg.batch, cfg.filters,
+                   cfg.output() * cfg.output());
+  }
+  if (epilogue.relu) {
+    for (float& v : output.data()) v = v > 0.0F ? v : 0.0F;
+  }
 }
 
 std::span<const ConvEngine* const> registry() {

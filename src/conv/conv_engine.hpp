@@ -38,7 +38,7 @@ enum class Strategy { kDirect, kUnrolling, kFft, kWinograd };
 /// both), or `transformed` below.
 struct PackedFilters {
   /// Name of the engine whose prepack() built this pack: the format tag
-  /// forward_prepacked() checks before reading the panels.
+  /// an engine's forward checks before reading the panels.
   std::string_view format;
   /// First element of the filter tensor the pack was built from, so an
   /// owner can tell its own live pack from one of other weights.
@@ -71,6 +71,18 @@ struct PackedFilters {
   }
 };
 
+/// What a forward adds to the bare convolution: an optional per-filter
+/// bias (empty, or length cfg.filters) and ReLU clamp, applied as
+/// output = relu?(conv(input, filters) + bias), plus an optional pack
+/// built by some engine's prepack(). An engine reads the pack only when
+/// it is in the engine's own format; any other pack runs the staged
+/// path, bit-identically.
+struct Epilogue {
+  std::span<const float> bias{};
+  bool relu = false;
+  const PackedFilters* packed = nullptr;
+};
+
 /// A convolution implementation: stateless and thread-compatible; all
 /// buffers are caller-owned.
 class ConvEngine {
@@ -87,46 +99,28 @@ class ConvEngine {
   /// require stride 1).
   [[nodiscard]] virtual bool supports(const ConvConfig& cfg) const = 0;
 
-  /// output must be pre-shaped to cfg.output_shape(); it is overwritten.
-  virtual void forward(const ConvConfig& cfg, const Tensor& input,
-                       const Tensor& filters, Tensor& output) const = 0;
-
-  /// Fused forward: output = relu?(conv(input, filters) + bias), with the
-  /// per-filter bias broadcast (length cfg.filters) and the optional ReLU
-  /// applied inside the engine's own write-back — bit-for-bit identical
-  /// to forward() followed by the separate bias/activation passes.
-  /// Returns false when the engine has no fused path (the default); the
-  /// caller then runs the unfused sequence itself.
-  [[nodiscard]] virtual bool forward_fused(const ConvConfig&, const Tensor&,
-                                           const Tensor&,
-                                           std::span<const float> /*bias*/,
-                                           bool /*relu*/, Tensor&) const {
-    return false;
-  }
+  /// The one forward entry point. output must be pre-shaped to
+  /// cfg.output_shape(); it is overwritten with
+  /// relu?(conv(input, filters) + bias). Bias and ReLU ride the engine's
+  /// own write-back where it has one, else one pass over the finished
+  /// output — bit-for-bit identical to a plain forward followed by
+  /// blas::add_bias and the clamp. A pack in this engine's format
+  /// replaces per-call weight packing; `filters` stays the staged
+  /// operand, so a stale pack (SIMD dispatch changed since packing)
+  /// degrades to the staged path inside blas, never to a wrong answer.
+  /// Throws Error on a shape or bias-length mismatch and when
+  /// !supports(cfg).
+  void forward(const ConvConfig& cfg, const Tensor& input,
+               const Tensor& filters, Tensor& output,
+               const Epilogue& epilogue = {}) const;
 
   /// Packs `filters` (cfg.filter_shape()) once into the weight layout
-  /// forward_prepacked() consumes — the pack-once/execute-many inference
-  /// path. nullptr when the engine has no prepacked path on cfg (the
-  /// default).
+  /// this engine's forward consumes — the pack-once/execute-many
+  /// inference path. nullptr when the engine has no prepacked path on
+  /// cfg (the default).
   [[nodiscard]] virtual std::shared_ptr<const PackedFilters> prepack(
       const ConvConfig& /*cfg*/, const Tensor& /*filters*/) const {
     return nullptr;
-  }
-
-  /// Fused forward over prepacked filters: bit-identical to
-  /// forward_fused(cfg, input, filters, bias, relu, output), reading the
-  /// weight panels from `packed` instead of re-packing per GEMM call.
-  /// `filters` stays the fallback operand: a stale pack (SIMD dispatch
-  /// changed since packing) degrades to the staged path inside blas,
-  /// never to a wrong answer. Returns false when the engine has no
-  /// prepacked path (the default) or `packed` is in another engine's
-  /// format; the caller then runs forward_fused / the unfused sequence
-  /// itself.
-  [[nodiscard]] virtual bool forward_prepacked(
-      const ConvConfig&, const Tensor&, const PackedFilters& /*packed*/,
-      const Tensor& /*filters*/, std::span<const float> /*bias*/,
-      bool /*relu*/, Tensor&) const {
-    return false;
   }
 
   /// grad_input must be pre-shaped to cfg.input_shape(); overwritten.
@@ -140,9 +134,22 @@ class ConvEngine {
                                Tensor& grad_filters) const = 0;
 
  protected:
-  /// Shared argument validation for the three passes.
-  static void validate_forward(const ConvConfig& cfg, const Tensor& input,
-                               const Tensor& filters, const Tensor& output);
+  /// `epilogue.packed` when this engine built it, holding `panels`
+  /// panels; nullptr (the staged path) for no pack or any other pack.
+  [[nodiscard]] const PackedFilters* own_pack(const Epilogue& epilogue,
+                                              std::size_t panels) const;
+
+  /// Bias, then the ReLU clamp, in one pass over the finished output:
+  /// the epilogue of engines whose kernels have no fused write-back.
+  static void apply_epilogue(const ConvConfig& cfg, const Epilogue& epilogue,
+                             Tensor& output);
+
+ private:
+  /// The engine's forward, called by forward() with validated arguments
+  /// on a supported cfg.
+  virtual void run_forward(const ConvConfig& cfg, const Tensor& input,
+                           const Tensor& filters, Tensor& output,
+                           const Epilogue& epilogue) const = 0;
 };
 
 /// Every built-in engine, one shared instance each — the single list of

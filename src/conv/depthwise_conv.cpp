@@ -84,10 +84,10 @@ void bias_relu(float* row, float b, bool relu, std::size_t n) {
 }  // namespace
 
 void DepthwiseConv::run_forward(const ConvConfig& cfg, const Tensor& input,
-                                const Tensor& filters, const float* bias,
-                                bool relu, Tensor& output) {
-  validate_forward(cfg, input, filters, output);
-  check(cfg.groups == cfg.channels, "depthwise requires groups == channels");
+                                const Tensor& filters, Tensor& output,
+                                const Epilogue& epilogue) const {
+  const float* bias = epilogue.bias.empty() ? nullptr : epilogue.bias.data();
+  const bool relu = epilogue.relu;
   const std::size_t o = cfg.output();
   const std::size_t in = cfg.input;
   const std::size_t k = cfg.kernel;
@@ -154,22 +154,6 @@ void DepthwiseConv::run_forward(const ConvConfig& cfg, const Tensor& input,
       }
     }
   });
-}
-
-void DepthwiseConv::forward(const ConvConfig& cfg, const Tensor& input,
-                            const Tensor& filters, Tensor& output) const {
-  run_forward(cfg, input, filters, nullptr, false, output);
-}
-
-bool DepthwiseConv::forward_fused(const ConvConfig& cfg, const Tensor& input,
-                                  const Tensor& filters,
-                                  std::span<const float> bias, bool relu,
-                                  Tensor& output) const {
-  check(bias.empty() || bias.size() == cfg.filters,
-        "fused bias length must equal filter count");
-  run_forward(cfg, input, filters, bias.empty() ? nullptr : bias.data(), relu,
-              output);
-  return true;
 }
 
 void DepthwiseConv::backward_data(const ConvConfig& cfg,

@@ -31,12 +31,6 @@ class DepthwiseConv final : public ConvEngine {
            cfg.filters % cfg.groups == 0;
   }
 
-  void forward(const ConvConfig& cfg, const Tensor& input,
-               const Tensor& filters, Tensor& output) const override;
-  [[nodiscard]] bool forward_fused(const ConvConfig& cfg, const Tensor& input,
-                                   const Tensor& filters,
-                                   std::span<const float> bias, bool relu,
-                                   Tensor& output) const override;
   void backward_data(const ConvConfig& cfg, const Tensor& grad_output,
                      const Tensor& filters, Tensor& grad_input) const override;
   void backward_filter(const ConvConfig& cfg, const Tensor& input,
@@ -44,9 +38,10 @@ class DepthwiseConv final : public ConvEngine {
                        Tensor& grad_filters) const override;
 
  private:
-  static void run_forward(const ConvConfig& cfg, const Tensor& input,
-                          const Tensor& filters, const float* bias, bool relu,
-                          Tensor& output);
+  /// Bias + ReLU ride each finished output row.
+  void run_forward(const ConvConfig& cfg, const Tensor& input,
+                   const Tensor& filters, Tensor& output,
+                   const Epilogue& epilogue) const override;
 };
 
 }  // namespace gpucnn::conv

@@ -4,9 +4,9 @@
 
 namespace gpucnn::conv {
 
-void DirectConv::forward(const ConvConfig& cfg, const Tensor& input,
-                         const Tensor& filters, Tensor& output) const {
-  validate_forward(cfg, input, filters, output);
+void DirectConv::run_forward(const ConvConfig& cfg, const Tensor& input,
+                             const Tensor& filters, Tensor& output,
+                             const Epilogue& epilogue) const {
   const std::size_t o = cfg.output();
   const std::size_t in = cfg.input;
   const std::size_t k = cfg.kernel;
@@ -42,6 +42,7 @@ void DirectConv::forward(const ConvConfig& cfg, const Tensor& input,
       }
     }
   });
+  apply_epilogue(cfg, epilogue, output);
 }
 
 void DirectConv::backward_data(const ConvConfig& cfg,

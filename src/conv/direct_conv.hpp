@@ -18,13 +18,16 @@ class DirectConv final : public ConvEngine {
     return true;
   }
 
-  void forward(const ConvConfig& cfg, const Tensor& input,
-               const Tensor& filters, Tensor& output) const override;
   void backward_data(const ConvConfig& cfg, const Tensor& grad_output,
                      const Tensor& filters, Tensor& grad_input) const override;
   void backward_filter(const ConvConfig& cfg, const Tensor& input,
                        const Tensor& grad_output,
                        Tensor& grad_filters) const override;
+
+ private:
+  void run_forward(const ConvConfig& cfg, const Tensor& input,
+                   const Tensor& filters, Tensor& output,
+                   const Epilogue& epilogue) const override;
 };
 
 }  // namespace gpucnn::conv

@@ -144,10 +144,9 @@ std::size_t FftConv::bins_for(std::size_t s) const {
   return bins_of(s, spectrum_);
 }
 
-void FftConv::forward(const ConvConfig& cfg, const Tensor& input,
-                      const Tensor& filters, Tensor& output) const {
-  validate_forward(cfg, input, filters, output);
-  check(supports(cfg), "FFT convolution requires stride 1");
+void FftConv::run_forward(const ConvConfig& cfg, const Tensor& input,
+                          const Tensor& filters, Tensor& output,
+                          const Epilogue& epilogue) const {
   const std::size_t s = transform_size(cfg);
   const auto plan = fft::cached_plan(s);
   const std::size_t bins = bins_for(s);
@@ -173,6 +172,7 @@ void FftConv::forward(const ConvConfig& cfg, const Tensor& input,
     gather_inverse(y, n, f, *plan, spectrum_, {output.plane(n, f), o * o},
                    o, o, 0, 0);
   });
+  apply_epilogue(cfg, epilogue, output);
 }
 
 void FftConv::backward_data(const ConvConfig& cfg, const Tensor& grad_output,

@@ -42,8 +42,6 @@ class FftConv final : public ConvEngine {
            cfg.kernel <= cfg.input + 2 * cfg.pad;
   }
 
-  void forward(const ConvConfig& cfg, const Tensor& input,
-               const Tensor& filters, Tensor& output) const override;
   void backward_data(const ConvConfig& cfg, const Tensor& grad_output,
                      const Tensor& filters, Tensor& grad_input) const override;
   void backward_filter(const ConvConfig& cfg, const Tensor& input,
@@ -55,6 +53,10 @@ class FftConv final : public ConvEngine {
   [[nodiscard]] static std::size_t transform_size(const ConvConfig& cfg);
 
  private:
+  void run_forward(const ConvConfig& cfg, const Tensor& input,
+                   const Tensor& filters, Tensor& output,
+                   const Epilogue& epilogue) const override;
+
   /// Frequency bins the pointwise stage iterates for transform size s:
   /// s*(s/2+1) Hermitian bins or the full s*s grid.
   [[nodiscard]] std::size_t bins_for(std::size_t s) const;

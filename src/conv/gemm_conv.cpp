@@ -59,42 +59,11 @@ std::shared_ptr<const PackedFilters> pack_gemm_filters(
   return packed;
 }
 
-void GemmConv::forward(const ConvConfig& cfg, const Tensor& input,
-                       const Tensor& filters, Tensor& output) const {
-  run_forward(cfg, input, filters, output, nullptr, false);
-}
-
-bool GemmConv::forward_fused(const ConvConfig& cfg, const Tensor& input,
-                             const Tensor& filters,
-                             std::span<const float> bias, bool relu,
-                             Tensor& output) const {
-  check(bias.empty() || bias.size() == cfg.filters,
-        "fused bias length must equal the filter count");
-  run_forward(cfg, input, filters, output,
-              bias.empty() ? nullptr : bias.data(), relu);
-  return true;
-}
-
-bool GemmConv::forward_prepacked(const ConvConfig& cfg, const Tensor& input,
-                                 const PackedFilters& packed,
-                                 const Tensor& filters,
-                                 std::span<const float> bias, bool relu,
-                                 Tensor& output) const {
-  if (packed.format != name() || packed.panels.size() != cfg.groups) {
-    return false;
-  }
-  check(bias.empty() || bias.size() == cfg.filters,
-        "fused bias length must equal the filter count");
-  run_forward(cfg, input, filters, output,
-              bias.empty() ? nullptr : bias.data(), relu, &packed);
-  return true;
-}
-
 void GemmConv::run_forward(const ConvConfig& cfg, const Tensor& input,
                            const Tensor& filters, Tensor& output,
-                           const float* bias, bool relu,
-                           const PackedFilters* packed) {
-  validate_forward(cfg, input, filters, output);
+                           const Epilogue& epilogue) const {
+  const PackedFilters* packed = own_pack(epilogue, cfg.groups);
+  const float* bias = epilogue.bias.empty() ? nullptr : epilogue.bias.data();
   const ConvConfig gv = group_view(cfg);
   const std::size_t o = cfg.output();
   const std::size_t ckk = gv.channels * cfg.kernel * cfg.kernel;
@@ -119,7 +88,7 @@ void GemmConv::run_forward(const ConvConfig& cfg, const Tensor& input,
       }
       const blas::Epilogue ep{
           .bias = bias == nullptr ? nullptr : bias + g * gv.filters,
-          .relu = relu};
+          .relu = epilogue.relu};
       const std::span<float> out{output.plane(n, g * gv.filters),
                                  gv.filters * cols};
       if (packed != nullptr) {

@@ -30,28 +30,10 @@ class GemmConv final : public ConvEngine {
     return true;
   }
 
-  void forward(const ConvConfig& cfg, const Tensor& input,
-               const Tensor& filters, Tensor& output) const override;
-  /// Bias + ReLU ride the per-group SGEMM's write-back epilogue (the
-  /// GEMM's M rows are exactly this group's filters).
-  [[nodiscard]] bool forward_fused(const ConvConfig& cfg,
-                                   const Tensor& input,
-                                   const Tensor& filters,
-                                   std::span<const float> bias, bool relu,
-                                   Tensor& output) const override;
   [[nodiscard]] std::shared_ptr<const PackedFilters> prepack(
       const ConvConfig& cfg, const Tensor& filters) const override {
     return pack_gemm_filters(name(), cfg, filters);
   }
-  /// Per-group SGEMMs consume the cached weight panels (A operand)
-  /// instead of re-packing them every call; the 1x1 fast path benefits
-  /// the most since the GEMM is then the whole forward.
-  [[nodiscard]] bool forward_prepacked(const ConvConfig& cfg,
-                                       const Tensor& input,
-                                       const PackedFilters& packed,
-                                       const Tensor& filters,
-                                       std::span<const float> bias, bool relu,
-                                       Tensor& output) const override;
   void backward_data(const ConvConfig& cfg, const Tensor& grad_output,
                      const Tensor& filters, Tensor& grad_input) const override;
   void backward_filter(const ConvConfig& cfg, const Tensor& input,
@@ -59,10 +41,14 @@ class GemmConv final : public ConvEngine {
                        Tensor& grad_filters) const override;
 
  private:
-  static void run_forward(const ConvConfig& cfg, const Tensor& input,
-                          const Tensor& filters, Tensor& output,
-                          const float* bias, bool relu,
-                          const PackedFilters* packed = nullptr);
+  /// Bias + ReLU ride the per-group SGEMM's write-back epilogue (the
+  /// GEMM's M rows are exactly this group's filters). The per-group
+  /// SGEMMs consume this engine's own pack (A operand) instead of
+  /// re-packing it every call; the 1x1 fast path benefits the most since
+  /// the GEMM is then the whole forward.
+  void run_forward(const ConvConfig& cfg, const Tensor& input,
+                   const Tensor& filters, Tensor& output,
+                   const Epilogue& epilogue) const override;
 };
 
 }  // namespace gpucnn::conv

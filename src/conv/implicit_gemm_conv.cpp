@@ -87,44 +87,14 @@ void scatter_tile(const Geometry& g, std::size_t channels, float* image,
 
 }  // namespace
 
-void ImplicitGemmConv::forward(const ConvConfig& cfg, const Tensor& input,
-                               const Tensor& filters,
-                               Tensor& output) const {
-  run_forward(cfg, input, filters, output, nullptr, false);
-}
-
-bool ImplicitGemmConv::forward_fused(const ConvConfig& cfg,
-                                     const Tensor& input,
-                                     const Tensor& filters,
-                                     std::span<const float> bias, bool relu,
-                                     Tensor& output) const {
-  check(bias.empty() || bias.size() == cfg.filters,
-        "fused bias length must equal the filter count");
-  run_forward(cfg, input, filters, output,
-              bias.empty() ? nullptr : bias.data(), relu);
-  return true;
-}
-
-bool ImplicitGemmConv::forward_prepacked(const ConvConfig& cfg,
-                                         const Tensor& input,
-                                         const PackedFilters& packed,
-                                         const Tensor& filters,
-                                         std::span<const float> bias,
-                                         bool relu, Tensor& output) const {
-  if (packed.format != name() || cfg.groups != 1) return false;
-  check(bias.empty() || bias.size() == cfg.filters,
-        "fused bias length must equal the filter count");
-  run_forward(cfg, input, filters, output,
-              bias.empty() ? nullptr : bias.data(), relu, &packed);
-  return true;
-}
-
 void ImplicitGemmConv::run_forward(const ConvConfig& cfg,
                                    const Tensor& input,
                                    const Tensor& filters, Tensor& output,
-                                   const float* bias, bool relu,
-                                   const PackedFilters* packed) {
-  validate_forward(cfg, input, filters, output);
+                                   const Epilogue& epilogue) const {
+  const PackedFilters* packed = own_pack(epilogue, 1);
+  const blas::Epilogue ep{
+      .bias = epilogue.bias.empty() ? nullptr : epilogue.bias.data(),
+      .relu = epilogue.relu};
   const Geometry g = geometry_of(cfg);
 
   parallel_for(0, cfg.batch, [&](std::size_t n) {
@@ -143,13 +113,12 @@ void ImplicitGemmConv::run_forward(const ConvConfig& cfg,
                               packed->panels[0], blas::Trans::kNo,
                               {tile.data(), g.ckk * cols}, cols, 0.0F,
                               {out_tile.data(), cfg.filters * cols}, cols,
-                              blas::Epilogue{.bias = bias, .relu = relu});
+                              ep);
       } else {
         blas::sgemm(blas::Trans::kNo, blas::Trans::kNo, cfg.filters, cols,
                     g.ckk, 1.0F, filters.data(), g.ckk,
                     {tile.data(), g.ckk * cols}, cols, 0.0F,
-                    {out_tile.data(), cfg.filters * cols}, cols,
-                    blas::Epilogue{.bias = bias, .relu = relu});
+                    {out_tile.data(), cfg.filters * cols}, cols, ep);
       }
       float* out_image = output.plane(n, 0);
       for (std::size_t f = 0; f < cfg.filters; ++f) {

@@ -26,27 +26,10 @@ class ImplicitGemmConv final : public ConvEngine {
     return cfg.groups == 1;  // the tile gather assumes dense channels
   }
 
-  void forward(const ConvConfig& cfg, const Tensor& input,
-               const Tensor& filters, Tensor& output) const override;
-  /// Bias + ReLU fuse into the per-tile SGEMM epilogue (the tile GEMM's
-  /// M rows are the full filter set, so bias indexes rows directly).
-  [[nodiscard]] bool forward_fused(const ConvConfig& cfg,
-                                   const Tensor& input,
-                                   const Tensor& filters,
-                                   std::span<const float> bias, bool relu,
-                                   Tensor& output) const override;
   [[nodiscard]] std::shared_ptr<const PackedFilters> prepack(
       const ConvConfig& cfg, const Tensor& filters) const override {
     return supports(cfg) ? pack_gemm_filters(name(), cfg, filters) : nullptr;
   }
-  /// Every output tile re-reads the whole filter matrix, so the cached
-  /// weight panels are reused positions/kTile times per image.
-  [[nodiscard]] bool forward_prepacked(const ConvConfig& cfg,
-                                       const Tensor& input,
-                                       const PackedFilters& packed,
-                                       const Tensor& filters,
-                                       std::span<const float> bias, bool relu,
-                                       Tensor& output) const override;
   void backward_data(const ConvConfig& cfg, const Tensor& grad_output,
                      const Tensor& filters, Tensor& grad_input) const override;
   void backward_filter(const ConvConfig& cfg, const Tensor& input,
@@ -54,10 +37,13 @@ class ImplicitGemmConv final : public ConvEngine {
                        Tensor& grad_filters) const override;
 
  private:
-  static void run_forward(const ConvConfig& cfg, const Tensor& input,
-                          const Tensor& filters, Tensor& output,
-                          const float* bias, bool relu,
-                          const PackedFilters* packed = nullptr);
+  /// Bias + ReLU fuse into the per-tile SGEMM epilogue (the tile GEMM's
+  /// M rows are the full filter set, so bias indexes rows directly).
+  /// Every output tile re-reads the whole filter matrix, so this
+  /// engine's own pack is reused positions/kTile times per image.
+  void run_forward(const ConvConfig& cfg, const Tensor& input,
+                   const Tensor& filters, Tensor& output,
+                   const Epilogue& epilogue) const override;
 };
 
 }  // namespace gpucnn::conv

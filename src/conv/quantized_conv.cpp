@@ -135,7 +135,6 @@ void fill_epilogue_arrays(const quant::QuantizedFilters& qw,
 void dynamic_forward(const ConvConfig& cfg, const Tensor& input,
                      const Tensor& filters, std::span<const float> bias,
                      bool relu, Tensor& output, bool implicit) {
-  check(filters.shape() == cfg.filter_shape(), "filter shape mismatch");
   const std::span<const float> in = input.data();
   check(!in.empty(), "quantized forward needs a non-empty input");
   float lo = in[0];
@@ -150,21 +149,24 @@ void dynamic_forward(const ConvConfig& cfg, const Tensor& input,
   const quant::QuantizedFilters qw =
       quant::quantize_filters(filters.data(), cfg.filters, ckk);
   if (implicit) {
-    quantized_implicit_forward(cfg, input, qw, aq, bias, relu, output);
+    quantized_implicit_forward(cfg, input, qw, nullptr, aq, bias, relu,
+                               output);
   } else {
-    quantized_gemm_forward(cfg, input, qw, aq, bias, relu, output);
+    quantized_gemm_forward(cfg, input, qw, nullptr, aq, bias, relu, output);
   }
 }
 
-// Shared bodies of the staged and prepacked quantized forwards; `packed`
-// == nullptr re-packs weights inside each igemm call.
-void gemm_forward_impl(const ConvConfig& cfg, const Tensor& input,
-                       const quant::QuantizedFilters& qw,
-                       const PackedQFilters* packed,
-                       const quant::ActQuant& aq,
-                       std::span<const float> bias, bool relu,
-                       Tensor& output) {
+}  // namespace
+
+void quantized_gemm_forward(const ConvConfig& cfg, const Tensor& input,
+                            const quant::QuantizedFilters& qw,
+                            const PackedQFilters* packed,
+                            const quant::ActQuant& aq,
+                            std::span<const float> bias, bool relu,
+                            Tensor& output) {
   validate_quantized_forward(cfg, input, qw, aq, bias, output);
+  check(packed == nullptr || packed->groups.size() == cfg.groups,
+        "packed filter group count mismatch");
   const ConvConfig gv = group_view(cfg);
   const std::size_t o = cfg.output();
   const std::size_t ckk = gv.channels * cfg.kernel * cfg.kernel;
@@ -206,15 +208,17 @@ void gemm_forward_impl(const ConvConfig& cfg, const Tensor& input,
   }
 }
 
-void implicit_forward_impl(const ConvConfig& cfg, const Tensor& input,
-                           const quant::QuantizedFilters& qw,
-                           const PackedQFilters* packed,
-                           const quant::ActQuant& aq,
-                           std::span<const float> bias, bool relu,
-                           Tensor& output) {
+void quantized_implicit_forward(const ConvConfig& cfg, const Tensor& input,
+                                const quant::QuantizedFilters& qw,
+                                const PackedQFilters* packed,
+                                const quant::ActQuant& aq,
+                                std::span<const float> bias, bool relu,
+                                Tensor& output) {
   validate_quantized_forward(cfg, input, qw, aq, bias, output);
   check(cfg.groups == 1,
         "quantized implicit GEMM does not support grouped filters");
+  check(packed == nullptr || packed->groups.size() == 1,
+        "packed filter group count mismatch");
   const std::size_t o = cfg.output();
   const std::size_t ckk = cfg.channels * cfg.kernel * cfg.kernel;
   const std::size_t positions = o * o;
@@ -261,8 +265,6 @@ void implicit_forward_impl(const ConvConfig& cfg, const Tensor& input,
   });
 }
 
-}  // namespace
-
 PackedQFilters prepack_quantized_filters(const ConvConfig& cfg,
                                          const quant::QuantizedFilters& qw) {
   const std::size_t group_filters = cfg.group_filters();
@@ -281,59 +283,12 @@ PackedQFilters prepack_quantized_filters(const ConvConfig& cfg,
   return packed;
 }
 
-void quantized_gemm_forward(const ConvConfig& cfg, const Tensor& input,
-                            const quant::QuantizedFilters& qw,
-                            const quant::ActQuant& aq,
-                            std::span<const float> bias, bool relu,
-                            Tensor& output) {
-  gemm_forward_impl(cfg, input, qw, nullptr, aq, bias, relu, output);
-}
-
-void quantized_gemm_forward(const ConvConfig& cfg, const Tensor& input,
-                            const quant::QuantizedFilters& qw,
-                            const PackedQFilters& packed,
-                            const quant::ActQuant& aq,
-                            std::span<const float> bias, bool relu,
-                            Tensor& output) {
-  check(packed.groups.size() == cfg.groups,
-        "packed filter group count mismatch");
-  gemm_forward_impl(cfg, input, qw, &packed, aq, bias, relu, output);
-}
-
-void quantized_implicit_forward(const ConvConfig& cfg, const Tensor& input,
-                                const quant::QuantizedFilters& qw,
-                                const quant::ActQuant& aq,
-                                std::span<const float> bias, bool relu,
-                                Tensor& output) {
-  implicit_forward_impl(cfg, input, qw, nullptr, aq, bias, relu, output);
-}
-
-void quantized_implicit_forward(const ConvConfig& cfg, const Tensor& input,
-                                const quant::QuantizedFilters& qw,
-                                const PackedQFilters& packed,
-                                const quant::ActQuant& aq,
-                                std::span<const float> bias, bool relu,
-                                Tensor& output) {
-  check(packed.groups.size() == 1,
-        "packed filter group count mismatch");
-  implicit_forward_impl(cfg, input, qw, &packed, aq, bias, relu, output);
-}
-
-void QuantizedGemmConv::forward(const ConvConfig& cfg, const Tensor& input,
-                                const Tensor& filters,
-                                Tensor& output) const {
-  dynamic_forward(cfg, input, filters, {}, false, output,
+void QuantizedGemmConv::run_forward(const ConvConfig& cfg,
+                                    const Tensor& input,
+                                    const Tensor& filters, Tensor& output,
+                                    const Epilogue& epilogue) const {
+  dynamic_forward(cfg, input, filters, epilogue.bias, epilogue.relu, output,
                   /*implicit=*/false);
-}
-
-bool QuantizedGemmConv::forward_fused(const ConvConfig& cfg,
-                                      const Tensor& input,
-                                      const Tensor& filters,
-                                      std::span<const float> bias,
-                                      bool relu, Tensor& output) const {
-  dynamic_forward(cfg, input, filters, bias, relu, output,
-                  /*implicit=*/false);
-  return true;
 }
 
 void QuantizedGemmConv::backward_data(const ConvConfig&, const Tensor&,
@@ -346,23 +301,13 @@ void QuantizedGemmConv::backward_filter(const ConvConfig&, const Tensor&,
   throw Error("unrolling-int8 is inference-only: no backward_filter");
 }
 
-void QuantizedImplicitGemmConv::forward(const ConvConfig& cfg,
-                                        const Tensor& input,
-                                        const Tensor& filters,
-                                        Tensor& output) const {
-  dynamic_forward(cfg, input, filters, {}, false, output,
+void QuantizedImplicitGemmConv::run_forward(const ConvConfig& cfg,
+                                            const Tensor& input,
+                                            const Tensor& filters,
+                                            Tensor& output,
+                                            const Epilogue& epilogue) const {
+  dynamic_forward(cfg, input, filters, epilogue.bias, epilogue.relu, output,
                   /*implicit=*/true);
-}
-
-bool QuantizedImplicitGemmConv::forward_fused(const ConvConfig& cfg,
-                                              const Tensor& input,
-                                              const Tensor& filters,
-                                              std::span<const float> bias,
-                                              bool relu,
-                                              Tensor& output) const {
-  dynamic_forward(cfg, input, filters, bias, relu, output,
-                  /*implicit=*/true);
-  return true;
 }
 
 void QuantizedImplicitGemmConv::backward_data(const ConvConfig&,

@@ -39,12 +39,17 @@ struct PackedQFilters {
 [[nodiscard]] PackedQFilters prepack_quantized_filters(
     const ConvConfig& cfg, const quant::QuantizedFilters& qw);
 
-/// im2col + int8 GEMM forward with prepacked quantized weights `qw`
+/// im2col + int8 GEMM forward with offline-quantized weights `qw`
 /// (rows = cfg.filters, cols = group_channels * k * k) and fixed
 /// activation parameters `aq`. Bias (length cfg.filters) and ReLU ride
 /// the GEMM's re-quantizing write-back; output is dequantized fp32.
+/// `packed` (built from qw by prepack_quantized_filters) supplies cached
+/// weight tiles, bit-exact against the staged path it replaces; nullptr
+/// packs qw inside each igemm call. A stale pack falls back inside blas
+/// to reading qw.
 void quantized_gemm_forward(const ConvConfig& cfg, const Tensor& input,
                             const quant::QuantizedFilters& qw,
+                            const PackedQFilters* packed,
                             const quant::ActQuant& aq,
                             std::span<const float> bias, bool relu,
                             Tensor& output);
@@ -52,24 +57,7 @@ void quantized_gemm_forward(const ConvConfig& cfg, const Tensor& input,
 /// Tiled implicit-GEMM forward (groups == 1 only), same contract.
 void quantized_implicit_forward(const ConvConfig& cfg, const Tensor& input,
                                 const quant::QuantizedFilters& qw,
-                                const quant::ActQuant& aq,
-                                std::span<const float> bias, bool relu,
-                                Tensor& output);
-
-/// quantized_gemm_forward consuming cached weight tiles: bit-exact
-/// against the overload above, with the blas-level stale-pack fallback
-/// reading from qw (which `packed` was built from).
-void quantized_gemm_forward(const ConvConfig& cfg, const Tensor& input,
-                            const quant::QuantizedFilters& qw,
-                            const PackedQFilters& packed,
-                            const quant::ActQuant& aq,
-                            std::span<const float> bias, bool relu,
-                            Tensor& output);
-
-/// Prepacked twin of quantized_implicit_forward, same contract.
-void quantized_implicit_forward(const ConvConfig& cfg, const Tensor& input,
-                                const quant::QuantizedFilters& qw,
-                                const PackedQFilters& packed,
+                                const PackedQFilters* packed,
                                 const quant::ActQuant& aq,
                                 std::span<const float> bias, bool relu,
                                 Tensor& output);
@@ -88,17 +76,15 @@ class QuantizedGemmConv final : public ConvEngine {
     return true;
   }
 
-  void forward(const ConvConfig& cfg, const Tensor& input,
-               const Tensor& filters, Tensor& output) const override;
-  [[nodiscard]] bool forward_fused(const ConvConfig& cfg,
-                                   const Tensor& input,
-                                   const Tensor& filters,
-                                   std::span<const float> bias, bool relu,
-                                   Tensor& output) const override;
   [[noreturn]] void backward_data(const ConvConfig&, const Tensor&,
                                   const Tensor&, Tensor&) const override;
   [[noreturn]] void backward_filter(const ConvConfig&, const Tensor&,
                                     const Tensor&, Tensor&) const override;
+
+ private:
+  void run_forward(const ConvConfig& cfg, const Tensor& input,
+                   const Tensor& filters, Tensor& output,
+                   const Epilogue& epilogue) const override;
 };
 
 /// Dynamic-quantizing engine adapter over quantized_implicit_forward.
@@ -115,17 +101,15 @@ class QuantizedImplicitGemmConv final : public ConvEngine {
     return cfg.groups == 1;
   }
 
-  void forward(const ConvConfig& cfg, const Tensor& input,
-               const Tensor& filters, Tensor& output) const override;
-  [[nodiscard]] bool forward_fused(const ConvConfig& cfg,
-                                   const Tensor& input,
-                                   const Tensor& filters,
-                                   std::span<const float> bias, bool relu,
-                                   Tensor& output) const override;
   [[noreturn]] void backward_data(const ConvConfig&, const Tensor&,
                                   const Tensor&, Tensor&) const override;
   [[noreturn]] void backward_filter(const ConvConfig&, const Tensor&,
                                     const Tensor&, Tensor&) const override;
+
+ private:
+  void run_forward(const ConvConfig& cfg, const Tensor& input,
+                   const Tensor& filters, Tensor& output,
+                   const Epilogue& epilogue) const override;
 };
 
 }  // namespace gpucnn::conv

@@ -37,13 +37,12 @@ std::size_t TiledFftConv::tile_for(const ConvConfig& cfg) const {
   return best;
 }
 
-void TiledFftConv::forward(const ConvConfig& cfg, const Tensor& input,
-                           const Tensor& filters, Tensor& output) const {
-  validate_forward(cfg, input, filters, output);
-  check(supports(cfg), "FFT convolution requires stride 1");
+void TiledFftConv::run_forward(const ConvConfig& cfg, const Tensor& input,
+                               const Tensor& filters, Tensor& output,
+                               const Epilogue& epilogue) const {
   const std::size_t tile = tile_for(cfg);
   if (tile >= FftConv::transform_size(cfg)) {
-    untiled_.forward(cfg, input, filters, output);
+    untiled_.forward(cfg, input, filters, output, epilogue);
     return;
   }
 
@@ -99,6 +98,7 @@ void TiledFftConv::forward(const ConvConfig& cfg, const Tensor& input,
       }
     }
   });
+  apply_epilogue(cfg, epilogue, output);
 }
 
 void TiledFftConv::backward_data(const ConvConfig& cfg,

@@ -34,8 +34,6 @@ class TiledFftConv final : public ConvEngine {
     return FftConv{}.supports(cfg);
   }
 
-  void forward(const ConvConfig& cfg, const Tensor& input,
-               const Tensor& filters, Tensor& output) const override;
   /// Backward passes use the single-transform engine (as fbfft did:
   /// tiling was a forward-path optimisation).
   void backward_data(const ConvConfig& cfg, const Tensor& grad_output,
@@ -48,6 +46,12 @@ class TiledFftConv final : public ConvEngine {
   [[nodiscard]] std::size_t tile_for(const ConvConfig& cfg) const;
 
  private:
+  /// Tiles run unfused through the untiled engine; bias and ReLU then
+  /// apply once, over the whole scattered output.
+  void run_forward(const ConvConfig& cfg, const Tensor& input,
+                   const Tensor& filters, Tensor& output,
+                   const Epilogue& epilogue) const override;
+
   std::size_t tile_;
   FftConv untiled_;
 };

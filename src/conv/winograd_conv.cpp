@@ -815,71 +815,37 @@ void multiply_stage(const Geometry& g, const float* u,
   }
 }
 
-void run_forward(const ConvConfig& cfg, WinogradTile tile,
-                 const Tensor& input, const Tensor& filters,
-                 const std::vector<blas::PackedMatrix>* panels,
-                 const float* bias, bool relu, Tensor& output) {
-  const Geometry g = make_geometry(cfg, tile);
+}  // namespace
+
+void WinogradConv::run_forward(const ConvConfig& cfg, const Tensor& input,
+                               const Tensor& filters, Tensor& output,
+                               const Epilogue& epilogue) const {
+  const PackedFilters* packed =
+      own_pack(epilogue, winograd_positions(tile_));
+  if (epilogue.packed != nullptr && (packed == nullptr || !packed->fresh())) {
+    // Another engine's pack (GEMM panels, or the other tile size)
+    // degrades to the transform-on-the-fly path; a stale own pack
+    // (SIMD dispatch changed since packing) makes sgemm_prepacked stage
+    // each panel's origin per call — correct, but the slow path.
+    fallback_counter().add(1);
+  }
+  const std::vector<blas::PackedMatrix>* panels =
+      packed != nullptr ? &packed->panels : nullptr;
+  const float* bias = epilogue.bias.empty() ? nullptr : epilogue.bias.data();
+  const Geometry g = make_geometry(cfg, tile_);
   ws::Scratch<float> v(g.positions * g.channels * g.block);
   ws::Scratch<float> m(g.positions * g.filters * g.block);
   ws::Scratch<float> u(panels != nullptr
                            ? 1
                            : g.positions * g.filters * g.channels);
-  if (panels == nullptr) transform_filters(g, tile, filters, u.data());
+  if (panels == nullptr) transform_filters(g, tile_, filters, u.data());
   for (std::size_t p0 = 0; p0 < g.patches; p0 += g.block) {
     const std::size_t pb = std::min(g.block, g.patches - p0);
-    scatter_data_transform(g, tile, input, p0, pb, v.data());
+    scatter_data_transform(g, tile_, input, p0, pb, v.data());
     multiply_stage(g, u.data(), panels, v.data(), m.data(), pb);
-    gather_output_transform(g, tile, m.data(), p0, pb, bias, relu, output);
+    gather_output_transform(g, tile_, m.data(), p0, pb, bias, epilogue.relu,
+                            output);
   }
-}
-
-}  // namespace
-
-void WinogradConv::forward(const ConvConfig& cfg, const Tensor& input,
-                           const Tensor& filters, Tensor& output) const {
-  validate_forward(cfg, input, filters, output);
-  check(supports(cfg),
-        "Winograd F(m,3) requires kernel 3, stride 1, pad <= 2, ungrouped");
-  run_forward(cfg, tile_, input, filters, nullptr, nullptr, false, output);
-}
-
-bool WinogradConv::forward_fused(const ConvConfig& cfg, const Tensor& input,
-                                 const Tensor& filters,
-                                 std::span<const float> bias, bool relu,
-                                 Tensor& output) const {
-  if (!supports(cfg)) return false;
-  validate_forward(cfg, input, filters, output);
-  check(bias.empty() || bias.size() == cfg.filters, "bias length mismatch");
-  run_forward(cfg, tile_, input, filters, nullptr,
-              bias.empty() ? nullptr : bias.data(), relu, output);
-  return true;
-}
-
-bool WinogradConv::forward_prepacked(const ConvConfig& cfg,
-                                     const Tensor& input,
-                                     const PackedFilters& packed,
-                                     const Tensor& filters,
-                                     std::span<const float> bias, bool relu,
-                                     Tensor& output) const {
-  if (!supports(cfg)) return false;
-  const auto& panels = packed.panels;
-  if (packed.format != name() || panels.size() != winograd_positions(tile_)) {
-    // Another engine's pack (GEMM panels, or the other tile size);
-    // degrade to the transform-on-the-fly path.
-    fallback_counter().add(1);
-    return false;
-  }
-  if (!packed.fresh()) {
-    // Stale pack (SIMD dispatch changed since packing): sgemm_prepacked
-    // stages each panel's origin per call — correct, but the slow path.
-    fallback_counter().add(1);
-  }
-  validate_forward(cfg, input, filters, output);
-  check(bias.empty() || bias.size() == cfg.filters, "bias length mismatch");
-  run_forward(cfg, tile_, input, filters, &panels,
-              bias.empty() ? nullptr : bias.data(), relu, output);
-  return true;
 }
 
 void WinogradConv::backward_data(const ConvConfig& cfg,

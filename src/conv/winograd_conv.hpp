@@ -57,23 +57,11 @@ class WinogradConv final : public ConvEngine {
   }
   [[nodiscard]] WinogradTile tile() const { return tile_; }
 
-  void forward(const ConvConfig& cfg, const Tensor& input,
-               const Tensor& filters, Tensor& output) const override;
-  [[nodiscard]] bool forward_fused(const ConvConfig& cfg, const Tensor& input,
-                                   const Tensor& filters,
-                                   std::span<const float> bias, bool relu,
-                                   Tensor& output) const override;
   /// Pre-transforms the filters once (U = G g G^T, laid out
   /// [alpha^2][F][C] in the pack's `transformed` buffer) and packs the
   /// F x C plane of each tile position as a GEMM-A panel.
   [[nodiscard]] std::shared_ptr<const PackedFilters> prepack(
       const ConvConfig& cfg, const Tensor& filters) const override;
-  [[nodiscard]] bool forward_prepacked(const ConvConfig& cfg,
-                                       const Tensor& input,
-                                       const PackedFilters& packed,
-                                       const Tensor& filters,
-                                       std::span<const float> bias, bool relu,
-                                       Tensor& output) const override;
   void backward_data(const ConvConfig& cfg, const Tensor& grad_output,
                      const Tensor& filters, Tensor& grad_input) const override;
   void backward_filter(const ConvConfig& cfg, const Tensor& input,
@@ -85,6 +73,15 @@ class WinogradConv final : public ConvEngine {
   [[nodiscard]] static double arithmetic_reduction() { return 16.0 / 36.0; }
 
  private:
+  /// The inverse transform's write-back fuses bias + ReLU. Reads this
+  /// engine's own pack in place of the per-call filter transform; any
+  /// other pack (GEMM panels, the other tile size) runs the transform
+  /// on the fly and counts a conv.winograd.fallbacks, as does a stale
+  /// own pack.
+  void run_forward(const ConvConfig& cfg, const Tensor& input,
+                   const Tensor& filters, Tensor& output,
+                   const Epilogue& epilogue) const override;
+
   WinogradTile tile_;
 };
 

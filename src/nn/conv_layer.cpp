@@ -68,24 +68,14 @@ TensorShape ConvLayer::output_shape(const TensorShape& in) const {
 void ConvLayer::forward(const Tensor& in, Tensor& out) {
   const ConvConfig cfg = config_for_batch(in.shape().n);
   out.resize(cfg.output_shape());
-  const conv::ConvEngine& engine = engine_for(cfg, tune::Pass::kForward);
-  const bool ran_prepacked =
-      !training_ && prepacked_ != nullptr &&
-      engine.forward_prepacked(cfg, in, *prepacked_, weights_,
-                               bias_.data(), fused_relu_, out);
-  if (!ran_prepacked &&
-      !engine.forward_fused(cfg, in, weights_, bias_.data(), fused_relu_,
-                            out)) {
-    // Unfused reference sequence; with fused_relu_ the trailing clamp is
-    // exactly ActivationLayer(kRelu)'s forward, so both paths match the
-    // fused epilogue bit for bit.
-    engine.forward(cfg, in, weights_, out);
-    blas::add_bias(out.data(), bias_.data(), cfg.batch, cfg.filters,
-                   cfg.output() * cfg.output());
-    if (fused_relu_) {
-      for (float& v : out.data()) v = v > 0.0F ? v : 0.0F;
-    }
-  }
+  // One engine call: it reads the frozen pack when the pack is in its
+  // format, and applies bias plus the fused ReLU — bit-identical to the
+  // conv, add_bias, ActivationLayer(kRelu) sequence.
+  engine_for(cfg, tune::Pass::kForward)
+      .forward(cfg, in, weights_, out,
+               {.bias = bias_.data(),
+                .relu = fused_relu_,
+                .packed = training_ ? nullptr : prepacked_.get()});
   if (fused_relu_ && training_) {
     // Save the ReLU mask for backward. Post-clamp out > 0 is equivalent
     // to pre-activation > 0 (the ActivationLayer backward test).

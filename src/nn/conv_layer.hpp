@@ -4,12 +4,13 @@
 //
 // Two executor upgrades ride on top of the pluggable engine:
 //   * fused ReLU: when set_fused_relu(true), the layer computes
-//     relu(conv + bias) in one pass — through the engine's fused
-//     epilogue when it has one (GEMM engines apply bias + clamp in the
-//     SGEMM write-back tile), with a bit-identical separate-pass
-//     fallback otherwise. Backward masks the incoming gradient with the
-//     ReLU mask saved in forward, making the fused layer's gradients
-//     bit-for-bit equal to ConvLayer followed by ActivationLayer(kRelu).
+//     relu(conv + bias) in one engine call — in the engine's write-back
+//     when it has a fused one (GEMM engines apply bias + clamp in the
+//     SGEMM write-back tile), else in one bit-identical pass over the
+//     finished output (conv::Epilogue). Backward masks the incoming
+//     gradient with the ReLU mask saved in forward, making the fused
+//     layer's gradients bit-for-bit equal to ConvLayer followed by
+//     ActivationLayer(kRelu).
 //   * autotuning: when set_auto_tune(true), every pass asks the
 //     process-wide tune::Autotuner for the empirically fastest engine
 //     for this (config, pass) key instead of the static strategy.
@@ -73,6 +74,7 @@ class ConvLayer final : public Layer {
   }
 
   void adopt_prepack(const Layer& owner) override;
+  void drop_prepack() override { prepacked_.reset(); }
 
   /// The packed filter cache (nullptr until freeze_for_inference);
   /// exposed so tests can assert sharing and invalidation.

@@ -43,6 +43,7 @@ class FcLayer final : public Layer {
   }
 
   void adopt_prepack(const Layer& owner) override;
+  void drop_prepack() override { prepacked_.reset(); }
 
   [[nodiscard]] std::shared_ptr<const blas::PackedMatrix> prepacked()
       const {

@@ -69,8 +69,13 @@ class Layer {
   /// runs a weight GEMM pack the weights into micro-kernel panels here
   /// (blas/packed.hpp) and reuse the panels across every forward until
   /// the weights can change again (set_training(true), initialize,
-  /// strategy switch). Default: nothing to prepack.
+  /// strategy switch, checkpoint load). Default: nothing to prepack.
   virtual void freeze_for_inference() {}
+
+  /// Drops the panels freeze_for_inference packed: the weights were
+  /// rewritten in place (load_parameters), so the next
+  /// freeze_for_inference packs afresh. Default: nothing held.
+  virtual void drop_prepack() {}
 
   /// Aliases `owner`'s packed weight panels into this layer (called by
   /// Network::share_parameters after the weight tensors themselves are

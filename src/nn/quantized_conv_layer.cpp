@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "blas/vector_ops.hpp"
 #include "core/error.hpp"
 #include "obs/metrics.hpp"
 #include "tune/autotuner.hpp"
@@ -76,20 +75,6 @@ void QuantizedConvLayer::adopt_prepack(const Layer& owner) {
   }
 }
 
-void QuantizedConvLayer::fp32_forward(const ConvConfig& cfg,
-                                      const conv::ConvEngine& engine,
-                                      const Tensor& in, Tensor& out) const {
-  if (!engine.forward_fused(cfg, in, weights_, bias_.data(), fused_relu_,
-                            out)) {
-    engine.forward(cfg, in, weights_, out);
-    blas::add_bias(out.data(), bias_.data(), cfg.batch, cfg.filters,
-                   cfg.output() * cfg.output());
-    if (fused_relu_) {
-      for (float& v : out.data()) v = v > 0.0F ? v : 0.0F;
-    }
-  }
-}
-
 void QuantizedConvLayer::forward(const Tensor& in, Tensor& out) {
   const ConvConfig cfg = config_for_batch(in.shape().n);
   out.resize(cfg.output_shape());
@@ -98,7 +83,8 @@ void QuantizedConvLayer::forward(const Tensor& in, Tensor& out) {
     // Calibration mode: record the input range, answer in fp32 so the
     // downstream layers (and their observers) see exact activations.
     observer_.observe(in.data());
-    fp32_forward(cfg, tune::default_engine(), in, out);
+    tune::default_engine().forward(
+        cfg, in, weights_, out, {.bias = bias_.data(), .relu = fused_relu_});
     return;
   }
 
@@ -119,35 +105,22 @@ void QuantizedConvLayer::forward(const Tensor& in, Tensor& out) {
   // Engine selection: with autotuning on, ask for the int8 pool; the
   // tuner hands back an fp32 engine when int8 measured slower, in which
   // case the retained fp32 weights serve the layer unchanged.
-  bool implicit = false;
-  if (auto_tune_) {
-    const conv::ConvEngine* tuned = tune::Autotuner::instance().choose(
-        cfg, tune::Pass::kForward, tune::Dtype::kInt8);
-    if (tuned != nullptr) {
-      const std::string_view name = tuned->name();
-      if (name == "implicit-int8") {
-        implicit = true;
-      } else if (name != "unrolling-int8") {
-        fp32_forward(cfg, *tuned, in, out);
-        return;
-      }
-    }
+  const conv::ConvEngine* tuned =
+      auto_tune_ ? tune::Autotuner::instance().choose(
+                       cfg, tune::Pass::kForward, tune::Dtype::kInt8)
+                 : nullptr;
+  if (tuned != nullptr && !tuned->quantized()) {
+    tuned->forward(cfg, in, weights_, out,
+                   {.bias = bias_.data(), .relu = fused_relu_});
+    return;
   }
-
-  if (implicit && cfg.groups == 1) {
-    if (qprepacked_ != nullptr) {
-      conv::quantized_implicit_forward(cfg, in, qweights_, *qprepacked_,
-                                       aq, bias_.data(), fused_relu_, out);
-    } else {
-      conv::quantized_implicit_forward(cfg, in, qweights_, aq,
-                                       bias_.data(), fused_relu_, out);
-    }
-  } else if (qprepacked_ != nullptr) {
-    conv::quantized_gemm_forward(cfg, in, qweights_, *qprepacked_, aq,
-                                 bias_.data(), fused_relu_, out);
+  if (tuned != nullptr && tuned->name() == "implicit-int8" &&
+      cfg.groups == 1) {
+    conv::quantized_implicit_forward(cfg, in, qweights_, qprepacked_.get(),
+                                     aq, bias_.data(), fused_relu_, out);
   } else {
-    conv::quantized_gemm_forward(cfg, in, qweights_, aq, bias_.data(),
-                                 fused_relu_, out);
+    conv::quantized_gemm_forward(cfg, in, qweights_, qprepacked_.get(), aq,
+                                 bias_.data(), fused_relu_, out);
   }
 }
 

@@ -75,8 +75,6 @@ class QuantizedConvLayer final : public Layer {
 
  private:
   [[nodiscard]] ConvConfig config_for_batch(std::size_t batch) const;
-  void fp32_forward(const ConvConfig& cfg, const conv::ConvEngine& engine,
-                    const Tensor& in, Tensor& out) const;
 
   ConvConfig geometry_;
   Tensor weights_;

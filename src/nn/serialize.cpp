@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "core/error.hpp"
+#include "nn/quantized_conv_layer.hpp"
 
 namespace gpucnn::nn {
 namespace {
@@ -51,6 +52,13 @@ void save_parameters(Network& net, const std::string& path) {
 }
 
 void load_parameters(Network& net, std::istream& is) {
+  // A quantized layer's int8 weights and calibrated activation range
+  // derive from the fp32 weights a load would replace.
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    check(dynamic_cast<const QuantizedConvLayer*>(&net.layer(i)) == nullptr,
+          "cannot load a checkpoint into a quantized network; load it "
+          "before Network::quantize()");
+  }
   std::array<char, 4> magic{};
   is.read(magic.data(), magic.size());
   check(is.good() && magic == kMagic, "not a gpucnn checkpoint");
@@ -60,6 +68,9 @@ void load_parameters(Network& net, std::istream& is) {
   const auto count = read_pod<std::uint64_t>(is);
   check(count == params.size(),
         "checkpoint parameter-tensor count mismatch");
+  // The weights are rewritten in place, so every pack built from them
+  // goes stale.
+  for (std::size_t i = 0; i < net.size(); ++i) net.layer(i).drop_prepack();
   for (Tensor* p : params) {
     const TensorShape shape{
         static_cast<std::size_t>(read_pod<std::uint64_t>(is)),

@@ -17,8 +17,11 @@ namespace gpucnn::nn {
 void save_parameters(Network& net, std::ostream& os);
 void save_parameters(Network& net, const std::string& path);
 
-/// Restores parameters; throws gpucnn::Error on magic/version/shape
-/// mismatch or truncated input.
+/// Restores parameters in place and drops every weight pack built from
+/// the old values (freeze_for_inference packs afresh). Throws
+/// gpucnn::Error on magic/version/shape mismatch or truncated input, and
+/// before writing anything when the network holds quantized layers:
+/// their int8 weights derive from the weights a load would replace.
 void load_parameters(Network& net, std::istream& is);
 void load_parameters(Network& net, const std::string& path);
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "analysis/recommend.hpp"
@@ -169,12 +170,7 @@ struct Workload {
            Pass pass) {
     switch (pass) {
       case Pass::kForward:
-        if (packed != nullptr &&
-            engine.forward_prepacked(cfg, input, *packed, filters, {},
-                                     false, output)) {
-          break;
-        }
-        engine.forward(cfg, input, filters, output);
+        engine.forward(cfg, input, filters, output, {.packed = packed.get()});
         break;
       case Pass::kBackwardData:
         engine.backward_data(cfg, grad_output, filters, grad_input);
@@ -186,18 +182,21 @@ struct Workload {
   }
 };
 
-/// Times `engine` on the workload: one warm-up run (returned through
-/// `warmup_ms`) then `trials` timed runs, reporting the minimum. Every
-/// run counts as a trial and its wall time accumulates in `spent_ms`.
+/// Times `engine` on the workload: one warm-up run, then `trials` timed
+/// runs, reporting the minimum — or the warm-up alone when it already
+/// exceeds `prune_above_ms`, so a candidate far behind the leader skips
+/// its repetitions. Every run counts as a trial and its wall time
+/// accumulates in `spent_ms`.
 double time_engine(Workload& work, const conv::ConvEngine& engine,
                    const ConvConfig& cfg, Pass pass, int trials,
-                   double& warmup_ms, double& spent_ms) {
+                   double prune_above_ms, double& spent_ms) {
   work.prepare(engine, cfg, pass);
   Timer timer;
   work.run(engine, cfg, pass);
-  warmup_ms = timer.elapsed_ms();
+  const double warmup_ms = timer.elapsed_ms();
   trials_counter().add(1);
   spent_ms += warmup_ms;
+  if (warmup_ms > prune_above_ms) return warmup_ms;
 
   double best = warmup_ms;
   for (int t = 0; t < trials; ++t) {
@@ -416,28 +415,13 @@ Decision Autotuner::measure_locked(const ConvConfig& cfg, Pass pass,
 
   for (const conv::ConvEngine* engine : prior_order(cfg, pass, dtype)) {
     if (!engine->supports(cfg)) continue;
-    work.prepare(*engine, cfg, pass);
-    double warmup = 0.0;
-    Timer probe;
-    work.run(*engine, cfg, pass);
-    warmup = probe.elapsed_ms();
-    trials_counter().add(1);
-    ms_spent_ += warmup;
-    double ms = warmup;
-    // A warm-up already far behind the leader cannot win: skip its
-    // timed repetitions (the prior ordering makes this prune common).
-    const bool pruned =
-        best_engine != nullptr && warmup > kPruneFactor * best_ms;
-    if (!pruned) {
-      for (int t = 0; t < trials_; ++t) {
-        Timer timer;
-        work.run(*engine, cfg, pass);
-        const double rep = timer.elapsed_ms();
-        trials_counter().add(1);
-        ms_spent_ += rep;
-        ms = std::min(ms, rep);
-      }
-    }
+    // The prior ordering times likely winners first, so a warm-up far
+    // behind the leader (which cannot win) is common.
+    const double ms = time_engine(
+        work, *engine, cfg, pass, trials_,
+        best_engine != nullptr ? kPruneFactor * best_ms
+                               : std::numeric_limits<double>::infinity(),
+        ms_spent_);
     if (engine == &default_engine()) baseline_ms = ms;
     if (best_engine == nullptr || ms < best_ms) {
       best_engine = engine;
@@ -463,9 +447,8 @@ std::vector<EngineTiming> Autotuner::measure_all(const ConvConfig& cfg,
     EngineTiming t{.engine_name = engine->name()};
     if (engine->supports(cfg)) {
       t.eligible = true;
-      double warmup = 0.0;
-      t.ms = time_engine(work, *engine, cfg, pass, trials_, warmup,
-                         ms_spent_);
+      t.ms = time_engine(work, *engine, cfg, pass, trials_,
+                         std::numeric_limits<double>::infinity(), ms_spent_);
     }
     timings.push_back(t);
   }

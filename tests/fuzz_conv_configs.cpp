@@ -9,6 +9,8 @@
 
 #include <set>
 
+#include "conv/conv_engine.hpp"
+
 namespace gpucnn::analysis {
 namespace {
 
@@ -22,7 +24,18 @@ TEST(ConvFuzz, SeededSmokeBatchFindsNoFailures) {
   EXPECT_EQ(report.configs_run, options.count);
   EXPECT_GT(report.engine_checks, 0U);
   EXPECT_GT(report.plan_checks, 0U);
-  EXPECT_EQ(report.fused_checks, options.count);
+  // One layer-pair comparison per config, plus the bias and bias+ReLU
+  // epilogues of every exact engine that supports it.
+  std::size_t fused_expected = 0;
+  for (std::size_t i = options.start; i < options.start + options.count;
+       ++i) {
+    const ConvConfig cfg = fuzz_config(options.seed, i);
+    fused_expected += 1;
+    for (const conv::ConvEngine* engine : conv::registry()) {
+      if (!engine->quantized() && engine->supports(cfg)) fused_expected += 2;
+    }
+  }
+  EXPECT_EQ(report.fused_checks, fused_expected);
   EXPECT_EQ(report.tune_checks, options.count);
   for (const auto& failure : report.failures) {
     ADD_FAILURE() << '[' << failure.index << "] "
@@ -57,7 +70,8 @@ TEST(ConvFuzz, Int8BatchFindsNoFailures) {
 
 TEST(ConvFuzz, PrepackBatchFindsNoFailures) {
   // 40 adversarial configs through the prepacked-vs-staged bit-identity
-  // cross-check (fp32 gemm/implicit plus both int8 paths).
+  // cross-check (every registry engine with its own pack and with other
+  // engines' packs, plus both int8 paths).
   FuzzOptions options;
   options.seed = 1;
   options.count = 40;

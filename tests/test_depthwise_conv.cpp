@@ -72,9 +72,10 @@ TEST_P(DepthwiseConvTest, BackwardFilterMatchesDirect) {
 }
 
 TEST_P(DepthwiseConvTest, FusedEpilogueIsBitIdenticalToUnfused) {
-  // forward_fused must equal forward() + (v += bias; v = max(v, 0))
-  // exactly: the epilogue is one float add and one max per element, both
-  // of which round identically in the scalar and SIMD kernels.
+  // A forward with a bias and ReLU must equal a plain forward() +
+  // (v += bias; v = max(v, 0)) exactly: the epilogue is one float add and
+  // one max per element, both of which round identically in the scalar
+  // and SIMD kernels.
   const ConvConfig cfg = GetParam();
   Rng rng(64);
   Tensor x(cfg.input_shape());
@@ -86,7 +87,8 @@ TEST_P(DepthwiseConvTest, FusedEpilogueIsBitIdenticalToUnfused) {
 
   DepthwiseConv engine;
   Tensor fused(cfg.output_shape());
-  ASSERT_TRUE(engine.forward_fused(cfg, x, w, bias, /*relu=*/true, fused));
+  ASSERT_NO_THROW(engine.forward(cfg, x, w, fused,
+                                 {.bias = bias, .relu = true}));
 
   Tensor want(cfg.output_shape());
   engine.forward(cfg, x, w, want);
@@ -185,16 +187,16 @@ TEST(PointwiseFastPath, BitIdenticalToIm2colOnAllPasses) {
     {
       FastPathGuard guard(true);
       engine.forward(cfg, x, w, fast_y);
-      ASSERT_TRUE(
-          engine.forward_fused(cfg, x, w, bias, /*relu=*/true, fast_fused));
+      ASSERT_NO_THROW(engine.forward(cfg, x, w, fast_fused,
+                                     {.bias = bias, .relu = true}));
       engine.backward_data(cfg, gout, w, fast_gx);
       engine.backward_filter(cfg, x, gout, fast_gw);
     }
     {
       FastPathGuard guard(false);
       engine.forward(cfg, x, w, slow_y);
-      ASSERT_TRUE(
-          engine.forward_fused(cfg, x, w, bias, /*relu=*/true, slow_fused));
+      ASSERT_NO_THROW(engine.forward(cfg, x, w, slow_fused,
+                                     {.bias = bias, .relu = true}));
       engine.backward_data(cfg, gout, w, slow_gx);
       engine.backward_filter(cfg, x, gout, slow_gw);
     }

@@ -45,7 +45,8 @@ void expect_quantized_close_to_fp32(const ConvConfig& cfg, bool implicit,
 
   const auto* fp32 = &strategy_engine(Strategy::kUnrolling);
   Tensor want(cfg.output_shape());
-  ASSERT_TRUE(fp32->forward_fused(cfg, input, filters, bias, relu, want));
+  ASSERT_NO_THROW(
+      fp32->forward(cfg, input, filters, want, {.bias = bias, .relu = relu}));
 
   const std::size_t ckk = cfg.group_channels() * cfg.kernel * cfg.kernel;
   const quant::QuantizedFilters qw =
@@ -53,9 +54,9 @@ void expect_quantized_close_to_fp32(const ConvConfig& cfg, bool implicit,
   const quant::ActQuant aq = quant::choose_act_quant(-1.0F, 1.0F);
   Tensor got(cfg.output_shape());
   if (implicit) {
-    quantized_implicit_forward(cfg, input, qw, aq, bias, relu, got);
+    quantized_implicit_forward(cfg, input, qw, nullptr, aq, bias, relu, got);
   } else {
-    quantized_gemm_forward(cfg, input, qw, aq, bias, relu, got);
+    quantized_gemm_forward(cfg, input, qw, nullptr, aq, bias, relu, got);
   }
 
   const double tol = quant_tolerance(cfg, 1.0F, 0.5F);

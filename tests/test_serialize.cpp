@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/error.hpp"
+#include "nn/activation_layer.hpp"
 #include "nn/conv_layer.hpp"
 #include "nn/fc_layer.hpp"
+#include "nn/pool_layer.hpp"
 
 namespace gpucnn::nn {
 namespace {
@@ -104,6 +109,110 @@ TEST(Serialize, FileRoundTrip) {
 TEST(Serialize, MissingFileThrows) {
   auto net = small_net();
   EXPECT_THROW(load_parameters(net, "/nonexistent/dir/ckpt.bin"), Error);
+}
+
+/// Conv + FC sized so both forward GEMMs take the blocked path at batch
+/// 8, where a frozen layer reads its packed panels instead of the weight
+/// tensor.
+Network packed_net() {
+  Network net;
+  net.emplace<ConvLayer>("conv",
+                         ConvConfig{.batch = 1, .input = 16, .channels = 8,
+                                    .filters = 16, .kernel = 3, .stride = 1,
+                                    .pad = 1});
+  net.emplace<ActivationLayer>("relu");
+  net.emplace<PoolLayer>("pool", 2, 2);
+  net.emplace<FcLayer>("fc", 8 * 8 * 16, 64);
+  return net;
+}
+
+Tensor packed_input() {
+  Rng rng(21);
+  Tensor in(8, 8, 16, 16);
+  in.fill_uniform(rng);
+  return in;
+}
+
+/// A checkpoint of packed_net() initialised from `seed`.
+std::string packed_checkpoint(std::uint64_t seed) {
+  auto net = packed_net();
+  Rng rng(seed);
+  net.initialize(rng);
+  std::stringstream buf;
+  save_parameters(net, buf);
+  return buf.str();
+}
+
+void load_text(Network& net, const std::string& checkpoint) {
+  std::stringstream buf(checkpoint);
+  load_parameters(net, buf);
+}
+
+/// The output of a never-frozen packed_net() loaded from `checkpoint`.
+Tensor unfrozen_output(const std::string& checkpoint, const Tensor& in) {
+  auto net = packed_net();
+  load_text(net, checkpoint);
+  net.set_training(false);
+  return net.forward(in);
+}
+
+/// A packed_net() initialised from seed 30 and frozen for inference.
+Network frozen_net() {
+  auto net = packed_net();
+  Rng rng(30);
+  net.initialize(rng);
+  net.freeze_for_inference();
+  return net;
+}
+
+TEST(Serialize, LoadIntoAFrozenNetworkServesTheLoadedWeights) {
+  auto net = frozen_net();
+  const std::string checkpoint = packed_checkpoint(31);
+  load_text(net, checkpoint);
+  const Tensor in = packed_input();
+  EXPECT_EQ(max_abs_diff(net.forward(in), unfrozen_output(checkpoint, in)),
+            0.0);
+}
+
+TEST(Serialize, RefreezingAfterALoadPacksTheLoadedWeights) {
+  auto net = frozen_net();
+  const auto& conv = dynamic_cast<const ConvLayer&>(net.layer(0));
+  const auto& fc = dynamic_cast<const FcLayer&>(net.layer(3));
+  const auto old_conv_pack = conv.prepacked();
+  const auto old_fc_pack = fc.prepacked();
+  ASSERT_NE(old_conv_pack, nullptr);
+  ASSERT_NE(old_fc_pack, nullptr);
+
+  const std::string checkpoint = packed_checkpoint(32);
+  load_text(net, checkpoint);
+  net.freeze_for_inference();
+  ASSERT_NE(conv.prepacked(), nullptr);
+  ASSERT_NE(fc.prepacked(), nullptr);
+  EXPECT_NE(conv.prepacked(), old_conv_pack);
+  EXPECT_NE(fc.prepacked(), old_fc_pack);
+  const Tensor in = packed_input();
+  EXPECT_EQ(max_abs_diff(net.forward(in), unfrozen_output(checkpoint, in)),
+            0.0);
+}
+
+TEST(Serialize, LoadIntoAQuantizedNetworkThrowsAndKeepsItsWeights) {
+  auto net = packed_net();
+  Rng rng(33);
+  net.initialize(rng);
+  ASSERT_EQ(net.quantize().layers_quantized, 1U);
+  std::vector<std::vector<float>> before;
+  for (const Tensor* p : net.parameters()) {
+    before.emplace_back(p->data().begin(), p->data().end());
+  }
+
+  EXPECT_THROW(load_text(net, packed_checkpoint(34)), Error);
+  const auto after = net.parameters();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_TRUE(std::equal(before[i].begin(), before[i].end(),
+                           after[i]->data().begin(), after[i]->data().end()))
+        << "tensor " << i;
+  }
 }
 
 }  // namespace

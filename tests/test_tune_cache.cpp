@@ -31,6 +31,15 @@ class HostileTuneCache : public ::testing::Test {
     tuner_->set_mode(mode_before_);
   }
 
+  /// `file` in the test temp dir, prefixed with this test's name: ctest
+  /// runs every TEST as its own process, concurrently under -j, so two
+  /// tests must never share a path.
+  static std::string temp_path(std::string_view file) {
+    return testing::TempDir() +
+           testing::UnitTest::GetInstance()->current_test_info()->name() +
+           "_" + std::string(file);
+  }
+
   static ConvConfig small_config() {
     return ConvConfig{.batch = 1, .input = 8, .channels = 2, .filters = 4,
                       .kernel = 3, .stride = 1, .pad = 1, .groups = 1};
@@ -38,7 +47,7 @@ class HostileTuneCache : public ::testing::Test {
 
   /// A cache this process wrote: one measured forward decision.
   std::string real_cache() {
-    const std::string path = testing::TempDir() + "hostile_real.json";
+    const std::string path = temp_path("hostile_real.json");
     tuner_->set_mode(Mode::kMeasure);
     (void)tuner_->decide(small_config(), Pass::kForward);
     EXPECT_TRUE(tuner_->save_cache(path));
@@ -50,7 +59,7 @@ class HostileTuneCache : public ::testing::Test {
 
   /// Entries kept when `text` is loaded into an empty memo.
   std::size_t load_text(std::string_view text) {
-    const std::string path = testing::TempDir() + "hostile_case.json";
+    const std::string path = temp_path("hostile_case.json");
     {
       std::ofstream out(path, std::ios::binary);
       out << text;
@@ -102,7 +111,7 @@ TEST_F(HostileTuneCache, DeepNestingIsRejected) {
 
 TEST_F(HostileTuneCache, LazyLoadThroughTheCachePathSurvivesDeepNesting) {
   // The GPUCNN_TUNE_CACHE path loads on first use, inside decide().
-  const std::string path = testing::TempDir() + "hostile_lazy.json";
+  const std::string path = temp_path("hostile_lazy.json");
   {
     std::ofstream out(path);
     out << std::string(100'000, '[');

@@ -153,7 +153,8 @@ TEST(WinogradFused, BiasReluMatchesUnfusedBitForBit) {
       }
     }
     Tensor fused(cfg.output_shape());
-    ASSERT_TRUE(engine.forward_fused(cfg, in, w, bias, /*relu=*/true, fused))
+    ASSERT_NO_THROW(
+        engine.forward(cfg, in, w, fused, {.bias = bias, .relu = true}))
         << label_of(tile);
     EXPECT_EQ(max_abs_diff(unfused, fused), 0.0) << label_of(tile);
   }
@@ -214,10 +215,12 @@ TEST(WinogradPrepack, PrepackedForwardIsBitIdenticalToStaged) {
     ASSERT_NE(packed, nullptr) << label_of(tile);
     for (const bool relu : {false, true}) {
       Tensor staged(cfg.output_shape());
-      ASSERT_TRUE(engine.forward_fused(cfg, in, w, bias, relu, staged));
+      ASSERT_NO_THROW(
+          engine.forward(cfg, in, w, staged, {.bias = bias, .relu = relu}));
       Tensor prepacked(cfg.output_shape());
-      ASSERT_TRUE(engine.forward_prepacked(cfg, in, *packed, w, bias, relu,
-                                           prepacked))
+      ASSERT_NO_THROW(engine.forward(
+          cfg, in, w, prepacked,
+          {.bias = bias, .relu = relu, .packed = packed.get()}))
           << label_of(tile);
       EXPECT_EQ(max_abs_diff(staged, prepacked), 0.0)
           << label_of(tile) << " relu=" << relu;
@@ -235,19 +238,24 @@ TEST(WinogradPrepack, PackWithoutPanelsFallsBackAndCounts) {
   w.fill_uniform(rng);
   Tensor out(cfg.output_shape());
 
+  Tensor staged(cfg.output_shape());
+  WinogradConv{}.forward(cfg, in, w, staged);
+
   const auto& fallbacks =
       obs::metrics().counter("conv.winograd.fallbacks");
   const std::int64_t before = fallbacks.value();
   // Packs in another engine's format: GEMM panels, and the other tile
-  // size's panels. Each refuses and counts one fallback.
+  // size's panels. Each runs the staged path, bit-identically, and
+  // counts one fallback.
   const auto gemm_pack = strategy_engine(Strategy::kUnrolling).prepack(cfg, w);
   const auto f4_pack = WinogradConv(WinogradTile::kF4).prepack(cfg, w);
   ASSERT_NE(gemm_pack, nullptr);
   ASSERT_NE(f4_pack, nullptr);
-  EXPECT_FALSE(WinogradConv{}.forward_prepacked(cfg, in, *gemm_pack, w, {},
-                                                false, out));
-  EXPECT_FALSE(WinogradConv{}.forward_prepacked(cfg, in, *f4_pack, w, {},
-                                                false, out));
+  WinogradConv{}.forward(cfg, in, w, out, {.packed = gemm_pack.get()});
+  EXPECT_EQ(max_abs_diff(out, staged), 0.0);
+  EXPECT_EQ(fallbacks.value(), before + 1);
+  WinogradConv{}.forward(cfg, in, w, out, {.packed = f4_pack.get()});
+  EXPECT_EQ(max_abs_diff(out, staged), 0.0);
   EXPECT_EQ(fallbacks.value(), before + 2);
 }
 

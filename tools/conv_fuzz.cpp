@@ -31,7 +31,8 @@ int usage(std::ostream& os) {
         "  --verbose     print every config as it is checked\n"
         "  --no-poison   do not poison workspace scratch during the"
         " run\n"
-        "  --no-fused    skip the fused-vs-unfused layer cross-check\n"
+        "  --no-fused    skip the fused-vs-unfused engine and layer"
+        " cross-checks\n"
         "  --int8        cross-check int8 quantized forwards against"
         " fp32\n"
         "  --prepack     cross-check prepacked forwards against the"
@@ -109,7 +110,7 @@ int main(int argc, char** argv) {
             << report.engine_skips << " unsupported skipped), "
             << report.plan_checks << " framework plans validated ("
             << report.plan_skips << " shape-limited skipped), "
-            << report.fused_checks << " fused-layer comparisons, "
+            << report.fused_checks << " fused-vs-unfused comparisons, "
             << report.int8_checks << " int8-vs-fp32 comparisons, "
             << report.prepack_checks << " prepacked-vs-staged comparisons, "
             << report.tune_checks << " tune-cache round-trips\n";
