@@ -9,10 +9,6 @@
 #include "core/workspace.hpp"
 #include "obs/metrics.hpp"
 
-#if GPUCNN_X86_SIMD
-#include <immintrin.h>
-#endif
-
 namespace gpucnn::conv {
 namespace {
 
@@ -22,94 +18,72 @@ obs::Counter& fallback_counter() {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar transforms, strided: element e of the source lives at s[e * ss],
-// element t of the destination at d[t * ds]. One function per (tile size,
-// transform); each is a two-pass application of the defining matrix pair.
-// Operation order is chosen once here and mirrored exactly by the AVX2
-// versions, so both dispatch paths produce bit-identical results.
+// Transforms. Each is Y = M X M^T for one constant matrix M (kOut x kIn):
+// a struct, specialised per tile size, writes M's 1-D pass once over a
+// value type T, and apply() runs that pass down the columns and then
+// along the rows. T = float transforms one tile; T = Lanes8 transforms 8
+// tiles held SoA, one tile per lane. Every instantiation performs the
+// same IEEE operations in the written order, so all of them, on every
+// SIMD level, round identically.
 // ---------------------------------------------------------------------------
 
+using Lanes8 = float __attribute__((vector_size(32)));
+
+template <WinogradTile>
+struct DataTf;  ///< V = B^T d B
+template <WinogradTile>
+struct FilterTf;  ///< U = G g G^T
+template <WinogradTile>
+struct OutputTf;  ///< Y = A^T m A
+template <WinogradTile>
+struct GradOutputTf;  ///< dM = A dY A^T, the output transform's adjoint
+template <WinogradTile>
+struct GradFilterTf;  ///< dg = G^T dU G, the filter transform's adjoint
+
 // F(2x2,3x3): B^T = [1 0 -1 0; 0 1 1 0; 0 -1 1 0; 0 1 0 -1]
-void data_tf_f2(const float* s, std::size_t ss, float* d, std::size_t ds) {
-  float t[16];
-  for (int col = 0; col < 4; ++col) {
-    const float a0 = s[(0 * 4 + col) * ss];
-    const float a1 = s[(1 * 4 + col) * ss];
-    const float a2 = s[(2 * 4 + col) * ss];
-    const float a3 = s[(3 * 4 + col) * ss];
-    t[0 * 4 + col] = a0 - a2;
-    t[1 * 4 + col] = a1 + a2;
-    t[2 * 4 + col] = a2 - a1;
-    t[3 * 4 + col] = a1 - a3;
+template <>
+struct DataTf<WinogradTile::kF2> {
+  static constexpr int kIn = 4;
+  static constexpr int kOut = 4;
+  template <typename T>
+  static void pass(const T* a, T* y) {
+    y[0] = a[0] - a[2];
+    y[1] = a[1] + a[2];
+    y[2] = a[2] - a[1];
+    y[3] = a[1] - a[3];
   }
-  for (int row = 0; row < 4; ++row) {
-    const float a0 = t[row * 4 + 0];
-    const float a1 = t[row * 4 + 1];
-    const float a2 = t[row * 4 + 2];
-    const float a3 = t[row * 4 + 3];
-    d[(row * 4 + 0) * ds] = a0 - a2;
-    d[(row * 4 + 1) * ds] = a1 + a2;
-    d[(row * 4 + 2) * ds] = a2 - a1;
-    d[(row * 4 + 3) * ds] = a1 - a3;
-  }
-}
+};
 
 // F(4x4,3x3): B^T = [4 0 -5 0 1 0; 0 -4 -4 1 1 0; 0 4 -4 -1 1 0;
 //                    0 -2 -1 2 1 0; 0 2 -1 -2 1 0; 0 4 0 -5 0 1]
-void data_tf_f4(const float* s, std::size_t ss, float* d, std::size_t ds) {
-  float t[36];
-  for (int col = 0; col < 6; ++col) {
-    const float a0 = s[(0 * 6 + col) * ss];
-    const float a1 = s[(1 * 6 + col) * ss];
-    const float a2 = s[(2 * 6 + col) * ss];
-    const float a3 = s[(3 * 6 + col) * ss];
-    const float a4 = s[(4 * 6 + col) * ss];
-    const float a5 = s[(5 * 6 + col) * ss];
-    t[0 * 6 + col] = (4.0F * a0 - 5.0F * a2) + a4;
-    t[1 * 6 + col] = (a3 + a4) - 4.0F * (a1 + a2);
-    t[2 * 6 + col] = 4.0F * (a1 - a2) + (a4 - a3);
-    t[3 * 6 + col] = 2.0F * (a3 - a1) + (a4 - a2);
-    t[4 * 6 + col] = 2.0F * (a1 - a3) + (a4 - a2);
-    t[5 * 6 + col] = (4.0F * a1 - 5.0F * a3) + a5;
+template <>
+struct DataTf<WinogradTile::kF4> {
+  static constexpr int kIn = 6;
+  static constexpr int kOut = 6;
+  template <typename T>
+  static void pass(const T* a, T* y) {
+    y[0] = (4.0F * a[0] - 5.0F * a[2]) + a[4];
+    y[1] = (a[3] + a[4]) - 4.0F * (a[1] + a[2]);
+    y[2] = 4.0F * (a[1] - a[2]) + (a[4] - a[3]);
+    y[3] = 2.0F * (a[3] - a[1]) + (a[4] - a[2]);
+    y[4] = 2.0F * (a[1] - a[3]) + (a[4] - a[2]);
+    y[5] = (4.0F * a[1] - 5.0F * a[3]) + a[5];
   }
-  for (int row = 0; row < 6; ++row) {
-    const float a0 = t[row * 6 + 0];
-    const float a1 = t[row * 6 + 1];
-    const float a2 = t[row * 6 + 2];
-    const float a3 = t[row * 6 + 3];
-    const float a4 = t[row * 6 + 4];
-    const float a5 = t[row * 6 + 5];
-    d[(row * 6 + 0) * ds] = (4.0F * a0 - 5.0F * a2) + a4;
-    d[(row * 6 + 1) * ds] = (a3 + a4) - 4.0F * (a1 + a2);
-    d[(row * 6 + 2) * ds] = 4.0F * (a1 - a2) + (a4 - a3);
-    d[(row * 6 + 3) * ds] = 2.0F * (a3 - a1) + (a4 - a2);
-    d[(row * 6 + 4) * ds] = 2.0F * (a1 - a3) + (a4 - a2);
-    d[(row * 6 + 5) * ds] = (4.0F * a1 - 5.0F * a3) + a5;
-  }
-}
+};
 
 // F(2x2,3x3): G = [1 0 0; .5 .5 .5; .5 -.5 .5; 0 0 1]
-void filter_tf_f2(const float* s, std::size_t ss, float* d, std::size_t ds) {
-  float t[12];
-  for (int col = 0; col < 3; ++col) {
-    const float g0 = s[(0 * 3 + col) * ss];
-    const float g1 = s[(1 * 3 + col) * ss];
-    const float g2 = s[(2 * 3 + col) * ss];
-    t[0 * 3 + col] = g0;
-    t[1 * 3 + col] = 0.5F * ((g0 + g1) + g2);
-    t[2 * 3 + col] = 0.5F * ((g0 - g1) + g2);
-    t[3 * 3 + col] = g2;
+template <>
+struct FilterTf<WinogradTile::kF2> {
+  static constexpr int kIn = 3;
+  static constexpr int kOut = 4;
+  template <typename T>
+  static void pass(const T* g, T* y) {
+    y[0] = g[0];
+    y[1] = 0.5F * ((g[0] + g[1]) + g[2]);
+    y[2] = 0.5F * ((g[0] - g[1]) + g[2]);
+    y[3] = g[2];
   }
-  for (int row = 0; row < 4; ++row) {
-    const float g0 = t[row * 3 + 0];
-    const float g1 = t[row * 3 + 1];
-    const float g2 = t[row * 3 + 2];
-    d[(row * 4 + 0) * ds] = g0;
-    d[(row * 4 + 1) * ds] = 0.5F * ((g0 + g1) + g2);
-    d[(row * 4 + 2) * ds] = 0.5F * ((g0 - g1) + g2);
-    d[(row * 4 + 3) * ds] = g2;
-  }
-}
+};
 
 // F(4x4,3x3): G = [1/4 0 0; -1/6 -1/6 -1/6; -1/6 1/6 -1/6;
 //                  1/24 1/12 1/6; 1/24 -1/12 1/6; 0 0 1]
@@ -118,441 +92,180 @@ constexpr float kP6 = 1.0F / 6.0F;
 constexpr float kP12 = 1.0F / 12.0F;
 constexpr float kP24 = 1.0F / 24.0F;
 
-void filter_tf_f4(const float* s, std::size_t ss, float* d, std::size_t ds) {
-  float t[18];
-  for (int col = 0; col < 3; ++col) {
-    const float g0 = s[(0 * 3 + col) * ss];
-    const float g1 = s[(1 * 3 + col) * ss];
-    const float g2 = s[(2 * 3 + col) * ss];
-    t[0 * 3 + col] = 0.25F * g0;
-    t[1 * 3 + col] = kN6 * ((g0 + g1) + g2);
-    t[2 * 3 + col] = kP6 * ((g1 - g0) - g2);
-    t[3 * 3 + col] = (kP24 * g0 + kP12 * g1) + kP6 * g2;
-    t[4 * 3 + col] = (kP24 * g0 - kP12 * g1) + kP6 * g2;
-    t[5 * 3 + col] = g2;
+template <>
+struct FilterTf<WinogradTile::kF4> {
+  static constexpr int kIn = 3;
+  static constexpr int kOut = 6;
+  template <typename T>
+  static void pass(const T* g, T* y) {
+    y[0] = 0.25F * g[0];
+    y[1] = kN6 * ((g[0] + g[1]) + g[2]);
+    y[2] = kP6 * ((g[1] - g[0]) - g[2]);
+    y[3] = (kP24 * g[0] + kP12 * g[1]) + kP6 * g[2];
+    y[4] = (kP24 * g[0] - kP12 * g[1]) + kP6 * g[2];
+    y[5] = g[2];
   }
-  for (int row = 0; row < 6; ++row) {
-    const float g0 = t[row * 3 + 0];
-    const float g1 = t[row * 3 + 1];
-    const float g2 = t[row * 3 + 2];
-    d[(row * 6 + 0) * ds] = 0.25F * g0;
-    d[(row * 6 + 1) * ds] = kN6 * ((g0 + g1) + g2);
-    d[(row * 6 + 2) * ds] = kP6 * ((g1 - g0) - g2);
-    d[(row * 6 + 3) * ds] = (kP24 * g0 + kP12 * g1) + kP6 * g2;
-    d[(row * 6 + 4) * ds] = (kP24 * g0 - kP12 * g1) + kP6 * g2;
-    d[(row * 6 + 5) * ds] = g2;
-  }
-}
+};
 
 // F(2x2,3x3): A^T = [1 1 1 0; 0 1 -1 -1]
-void output_tf_f2(const float* s, std::size_t ss, float* d, std::size_t ds) {
-  float t[8];
-  for (int col = 0; col < 4; ++col) {
-    const float m0 = s[(0 * 4 + col) * ss];
-    const float m1 = s[(1 * 4 + col) * ss];
-    const float m2 = s[(2 * 4 + col) * ss];
-    const float m3 = s[(3 * 4 + col) * ss];
-    t[0 * 4 + col] = (m0 + m1) + m2;
-    t[1 * 4 + col] = (m1 - m2) - m3;
+template <>
+struct OutputTf<WinogradTile::kF2> {
+  static constexpr int kIn = 4;
+  static constexpr int kOut = 2;
+  template <typename T>
+  static void pass(const T* m, T* y) {
+    y[0] = (m[0] + m[1]) + m[2];
+    y[1] = (m[1] - m[2]) - m[3];
   }
-  for (int row = 0; row < 2; ++row) {
-    const float m0 = t[row * 4 + 0];
-    const float m1 = t[row * 4 + 1];
-    const float m2 = t[row * 4 + 2];
-    const float m3 = t[row * 4 + 3];
-    d[(row * 2 + 0) * ds] = (m0 + m1) + m2;
-    d[(row * 2 + 1) * ds] = (m1 - m2) - m3;
-  }
-}
+};
 
 // F(4x4,3x3): A^T = [1 1 1 1 1 0; 0 1 -1 2 -2 0; 0 1 1 4 4 0;
 //                    0 1 -1 8 -8 1]
-void output_tf_f4(const float* s, std::size_t ss, float* d, std::size_t ds) {
-  float t[24];
-  for (int col = 0; col < 6; ++col) {
-    const float m0 = s[(0 * 6 + col) * ss];
-    const float m1 = s[(1 * 6 + col) * ss];
-    const float m2 = s[(2 * 6 + col) * ss];
-    const float m3 = s[(3 * 6 + col) * ss];
-    const float m4 = s[(4 * 6 + col) * ss];
-    const float m5 = s[(5 * 6 + col) * ss];
-    const float p1 = m1 + m2;
-    const float p2 = m3 + m4;
-    const float q1 = m1 - m2;
-    const float q2 = m3 - m4;
-    t[0 * 6 + col] = (m0 + p1) + p2;
-    t[1 * 6 + col] = q1 + 2.0F * q2;
-    t[2 * 6 + col] = p1 + 4.0F * p2;
-    t[3 * 6 + col] = (q1 + 8.0F * q2) + m5;
+template <>
+struct OutputTf<WinogradTile::kF4> {
+  static constexpr int kIn = 6;
+  static constexpr int kOut = 4;
+  template <typename T>
+  static void pass(const T* m, T* y) {
+    const T p1 = m[1] + m[2];
+    const T p2 = m[3] + m[4];
+    const T q1 = m[1] - m[2];
+    const T q2 = m[3] - m[4];
+    y[0] = (m[0] + p1) + p2;
+    y[1] = q1 + 2.0F * q2;
+    y[2] = p1 + 4.0F * p2;
+    y[3] = (q1 + 8.0F * q2) + m[5];
   }
-  for (int row = 0; row < 4; ++row) {
-    const float m0 = t[row * 6 + 0];
-    const float m1 = t[row * 6 + 1];
-    const float m2 = t[row * 6 + 2];
-    const float m3 = t[row * 6 + 3];
-    const float m4 = t[row * 6 + 4];
-    const float m5 = t[row * 6 + 5];
-    const float p1 = m1 + m2;
-    const float p2 = m3 + m4;
-    const float q1 = m1 - m2;
-    const float q2 = m3 - m4;
-    d[(row * 4 + 0) * ds] = (m0 + p1) + p2;
-    d[(row * 4 + 1) * ds] = q1 + 2.0F * q2;
-    d[(row * 4 + 2) * ds] = p1 + 4.0F * p2;
-    d[(row * 4 + 3) * ds] = (q1 + 8.0F * q2) + m5;
-  }
-}
+};
 
-// Backward-filter: dM = A dY A^T, the adjoint of the output transform.
 // F(2x2,3x3): A (4x2) rows = (1,0), (1,1), (1,-1), (0,-1).
-void grad_out_tf_f2(const float* s, std::size_t ss, float* d, std::size_t ds) {
-  float t[8];
-  for (int col = 0; col < 2; ++col) {
-    const float y0 = s[(0 * 2 + col) * ss];
-    const float y1 = s[(1 * 2 + col) * ss];
-    t[0 * 2 + col] = y0;
-    t[1 * 2 + col] = y0 + y1;
-    t[2 * 2 + col] = y0 - y1;
-    t[3 * 2 + col] = -y1;
+template <>
+struct GradOutputTf<WinogradTile::kF2> {
+  static constexpr int kIn = 2;
+  static constexpr int kOut = 4;
+  template <typename T>
+  static void pass(const T* d, T* y) {
+    y[0] = d[0];
+    y[1] = d[0] + d[1];
+    y[2] = d[0] - d[1];
+    y[3] = -d[1];
   }
-  for (int row = 0; row < 4; ++row) {
-    const float y0 = t[row * 2 + 0];
-    const float y1 = t[row * 2 + 1];
-    d[(row * 4 + 0) * ds] = y0;
-    d[(row * 4 + 1) * ds] = y0 + y1;
-    d[(row * 4 + 2) * ds] = y0 - y1;
-    d[(row * 4 + 3) * ds] = -y1;
-  }
-}
+};
 
 // F(4x4,3x3): A (6x4) rows = (1,0,0,0), (1,1,1,1), (1,-1,1,-1),
 // (1,2,4,8), (1,-2,4,-8), (0,0,0,1).
-void grad_out_tf_f4(const float* s, std::size_t ss, float* d, std::size_t ds) {
-  float t[24];
-  for (int col = 0; col < 4; ++col) {
-    const float y0 = s[(0 * 4 + col) * ss];
-    const float y1 = s[(1 * 4 + col) * ss];
-    const float y2 = s[(2 * 4 + col) * ss];
-    const float y3 = s[(3 * 4 + col) * ss];
-    t[0 * 4 + col] = y0;
-    t[1 * 4 + col] = (y0 + y1) + (y2 + y3);
-    t[2 * 4 + col] = (y0 - y1) + (y2 - y3);
-    t[3 * 4 + col] = (y0 + 2.0F * y1) + (4.0F * y2 + 8.0F * y3);
-    t[4 * 4 + col] = (y0 - 2.0F * y1) + (4.0F * y2 - 8.0F * y3);
-    t[5 * 4 + col] = y3;
+template <>
+struct GradOutputTf<WinogradTile::kF4> {
+  static constexpr int kIn = 4;
+  static constexpr int kOut = 6;
+  template <typename T>
+  static void pass(const T* d, T* y) {
+    y[0] = d[0];
+    y[1] = (d[0] + d[1]) + (d[2] + d[3]);
+    y[2] = (d[0] - d[1]) + (d[2] - d[3]);
+    y[3] = (d[0] + 2.0F * d[1]) + (4.0F * d[2] + 8.0F * d[3]);
+    y[4] = (d[0] - 2.0F * d[1]) + (4.0F * d[2] - 8.0F * d[3]);
+    y[5] = d[3];
   }
-  for (int row = 0; row < 6; ++row) {
-    const float y0 = t[row * 4 + 0];
-    const float y1 = t[row * 4 + 1];
-    const float y2 = t[row * 4 + 2];
-    const float y3 = t[row * 4 + 3];
-    d[(row * 6 + 0) * ds] = y0;
-    d[(row * 6 + 1) * ds] = (y0 + y1) + (y2 + y3);
-    d[(row * 6 + 2) * ds] = (y0 - y1) + (y2 - y3);
-    d[(row * 6 + 3) * ds] = (y0 + 2.0F * y1) + (4.0F * y2 + 8.0F * y3);
-    d[(row * 6 + 4) * ds] = (y0 - 2.0F * y1) + (4.0F * y2 - 8.0F * y3);
-    d[(row * 6 + 5) * ds] = y3;
+};
+
+template <>
+struct GradFilterTf<WinogradTile::kF2> {
+  static constexpr int kIn = 4;
+  static constexpr int kOut = 3;
+  template <typename T>
+  static void pass(const T* u, T* y) {
+    y[0] = u[0] + 0.5F * (u[1] + u[2]);
+    y[1] = 0.5F * (u[1] - u[2]);
+    y[2] = 0.5F * (u[1] + u[2]) + u[3];
+  }
+};
+
+template <>
+struct GradFilterTf<WinogradTile::kF4> {
+  static constexpr int kIn = 6;
+  static constexpr int kOut = 3;
+  template <typename T>
+  static void pass(const T* u, T* y) {
+    y[0] = (0.25F * u[0] + kN6 * (u[1] + u[2])) + kP24 * (u[3] + u[4]);
+    y[1] = kP6 * (u[2] - u[1]) + kP12 * (u[3] - u[4]);
+    y[2] = kP6 * ((u[3] + u[4]) - (u[1] + u[2])) + u[5];
+  }
+};
+
+/// Y = M X M^T from a kIn x kIn source whose element e starts at
+/// src[e * ss] to a kOut x kOut destination whose element e starts at
+/// dst[e * ds], one T per element. The full unrolls let every T stay in
+/// registers instead of passing through stack arrays.
+template <typename T, typename Tf>
+void apply(const float* src, std::size_t ss, float* dst, std::size_t ds) {
+  constexpr int kIn = Tf::kIn;
+  constexpr int kOut = Tf::kOut;
+  T t[kOut * kIn];
+#pragma GCC unroll 6
+  for (int col = 0; col < kIn; ++col) {
+    T x[kIn];
+    T y[kOut];
+#pragma GCC unroll 6
+    for (int i = 0; i < kIn; ++i) {
+      std::memcpy(&x[i], src + (i * kIn + col) * ss, sizeof(T));
+    }
+    Tf::pass(x, y);
+#pragma GCC unroll 6
+    for (int j = 0; j < kOut; ++j) t[j * kIn + col] = y[j];
+  }
+#pragma GCC unroll 6
+  for (int row = 0; row < kOut; ++row) {
+    T y[kOut];
+    Tf::pass(t + row * kIn, y);
+#pragma GCC unroll 6
+    for (int j = 0; j < kOut; ++j) {
+      std::memcpy(dst + (row * kOut + j) * ds, &y[j], sizeof(T));
+    }
   }
 }
 
-// Backward-filter: dg = G^T dU G, the adjoint of the filter transform.
-void grad_filter_tf_f2(const float* s, std::size_t ss, float* d,
-                       std::size_t ds) {
-  float t[12];
-  for (int col = 0; col < 4; ++col) {
-    const float u0 = s[(0 * 4 + col) * ss];
-    const float u1 = s[(1 * 4 + col) * ss];
-    const float u2 = s[(2 * 4 + col) * ss];
-    const float u3 = s[(3 * 4 + col) * ss];
-    t[0 * 4 + col] = u0 + 0.5F * (u1 + u2);
-    t[1 * 4 + col] = 0.5F * (u1 - u2);
-    t[2 * 4 + col] = 0.5F * (u1 + u2) + u3;
-  }
-  for (int row = 0; row < 3; ++row) {
-    const float u0 = t[row * 4 + 0];
-    const float u1 = t[row * 4 + 1];
-    const float u2 = t[row * 4 + 2];
-    const float u3 = t[row * 4 + 3];
-    d[(row * 3 + 0) * ds] = u0 + 0.5F * (u1 + u2);
-    d[(row * 3 + 1) * ds] = 0.5F * (u1 - u2);
-    d[(row * 3 + 2) * ds] = 0.5F * (u1 + u2) + u3;
+/// Transform Tf at the engine's tile size.
+template <typename T, template <WinogradTile> class Tf>
+void apply(WinogradTile tile, const float* src, std::size_t ss, float* dst,
+           std::size_t ds) {
+  if (tile == WinogradTile::kF2) {
+    apply<T, Tf<WinogradTile::kF2>>(src, ss, dst, ds);
+  } else {
+    apply<T, Tf<WinogradTile::kF4>>(src, ss, dst, ds);
   }
 }
 
-void grad_filter_tf_f4(const float* s, std::size_t ss, float* d,
-                       std::size_t ds) {
-  float t[18];
-  for (int col = 0; col < 6; ++col) {
-    const float u0 = s[(0 * 6 + col) * ss];
-    const float u1 = s[(1 * 6 + col) * ss];
-    const float u2 = s[(2 * 6 + col) * ss];
-    const float u3 = s[(3 * 6 + col) * ss];
-    const float u4 = s[(4 * 6 + col) * ss];
-    const float u5 = s[(5 * 6 + col) * ss];
-    t[0 * 6 + col] = (0.25F * u0 + kN6 * (u1 + u2)) + kP24 * (u3 + u4);
-    t[1 * 6 + col] = kP6 * (u2 - u1) + kP12 * (u3 - u4);
-    t[2 * 6 + col] = kP6 * ((u3 + u4) - (u1 + u2)) + u5;
-  }
-  for (int row = 0; row < 3; ++row) {
-    const float u0 = t[row * 6 + 0];
-    const float u1 = t[row * 6 + 1];
-    const float u2 = t[row * 6 + 2];
-    const float u3 = t[row * 6 + 3];
-    const float u4 = t[row * 6 + 4];
-    const float u5 = t[row * 6 + 5];
-    d[(row * 3 + 0) * ds] = (0.25F * u0 + kN6 * (u1 + u2)) + kP24 * (u3 + u4);
-    d[(row * 3 + 1) * ds] = kP6 * (u2 - u1) + kP12 * (u3 - u4);
-    d[(row * 3 + 2) * ds] = kP6 * ((u3 + u4) - (u1 + u2)) + u5;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// AVX2 transforms: 8 tiles at a time in SoA form — element e of the 8
-// gathered tiles lives at b[e * 8 + lane], one __m256 per tile element.
-// Same operation order as the scalar functions above (mul + add, no FMA
-// contraction), so the two dispatch paths stay bit-identical.
-// ---------------------------------------------------------------------------
 #if GPUCNN_X86_SIMD
-
-inline bool use_avx2() { return simd::active() == simd::Level::kAvx2; }
-
-__attribute__((target("avx2"))) void data_tf8_f2_avx2(const float* b,
-                                                      float* dst,
-                                                      std::size_t ts) {
-  __m256 t[16];
-  for (int col = 0; col < 4; ++col) {
-    const __m256 a0 = _mm256_loadu_ps(b + (0 * 4 + col) * 8);
-    const __m256 a1 = _mm256_loadu_ps(b + (1 * 4 + col) * 8);
-    const __m256 a2 = _mm256_loadu_ps(b + (2 * 4 + col) * 8);
-    const __m256 a3 = _mm256_loadu_ps(b + (3 * 4 + col) * 8);
-    t[0 * 4 + col] = _mm256_sub_ps(a0, a2);
-    t[1 * 4 + col] = _mm256_add_ps(a1, a2);
-    t[2 * 4 + col] = _mm256_sub_ps(a2, a1);
-    t[3 * 4 + col] = _mm256_sub_ps(a1, a3);
-  }
-  for (int row = 0; row < 4; ++row) {
-    const __m256 a0 = t[row * 4 + 0];
-    const __m256 a1 = t[row * 4 + 1];
-    const __m256 a2 = t[row * 4 + 2];
-    const __m256 a3 = t[row * 4 + 3];
-    _mm256_storeu_ps(dst + (row * 4 + 0) * ts, _mm256_sub_ps(a0, a2));
-    _mm256_storeu_ps(dst + (row * 4 + 1) * ts, _mm256_add_ps(a1, a2));
-    _mm256_storeu_ps(dst + (row * 4 + 2) * ts, _mm256_sub_ps(a2, a1));
-    _mm256_storeu_ps(dst + (row * 4 + 3) * ts, _mm256_sub_ps(a1, a3));
-  }
+// AVX2 only, never FMA: GCC contracts C++ float expressions by default
+// (-ffp-contract=fast), which would fuse the multiply-adds and break
+// bit-identity with the baseline build of the same code. flatten inlines
+// apply() and the passes here; a call would run their baseline copies.
+template <typename Tf>
+[[gnu::flatten]] __attribute__((target("avx2"))) void apply8_avx2(
+    const float* src, std::size_t ss, float* dst, std::size_t ds) {
+  apply<Lanes8, Tf>(src, ss, dst, ds);
 }
+#endif
 
-__attribute__((target("avx2"))) void data_tf8_f4_avx2(const float* b,
-                                                      float* dst,
-                                                      std::size_t ts) {
-  const __m256 k2 = _mm256_set1_ps(2.0F);
-  const __m256 k4 = _mm256_set1_ps(4.0F);
-  const __m256 k5 = _mm256_set1_ps(5.0F);
-  __m256 t[36];
-  for (int col = 0; col < 6; ++col) {
-    const __m256 a0 = _mm256_loadu_ps(b + (0 * 6 + col) * 8);
-    const __m256 a1 = _mm256_loadu_ps(b + (1 * 6 + col) * 8);
-    const __m256 a2 = _mm256_loadu_ps(b + (2 * 6 + col) * 8);
-    const __m256 a3 = _mm256_loadu_ps(b + (3 * 6 + col) * 8);
-    const __m256 a4 = _mm256_loadu_ps(b + (4 * 6 + col) * 8);
-    const __m256 a5 = _mm256_loadu_ps(b + (5 * 6 + col) * 8);
-    t[0 * 6 + col] = _mm256_add_ps(
-        _mm256_sub_ps(_mm256_mul_ps(k4, a0), _mm256_mul_ps(k5, a2)), a4);
-    t[1 * 6 + col] = _mm256_sub_ps(_mm256_add_ps(a3, a4),
-                                   _mm256_mul_ps(k4, _mm256_add_ps(a1, a2)));
-    t[2 * 6 + col] = _mm256_add_ps(_mm256_mul_ps(k4, _mm256_sub_ps(a1, a2)),
-                                   _mm256_sub_ps(a4, a3));
-    t[3 * 6 + col] = _mm256_add_ps(_mm256_mul_ps(k2, _mm256_sub_ps(a3, a1)),
-                                   _mm256_sub_ps(a4, a2));
-    t[4 * 6 + col] = _mm256_add_ps(_mm256_mul_ps(k2, _mm256_sub_ps(a1, a3)),
-                                   _mm256_sub_ps(a4, a2));
-    t[5 * 6 + col] = _mm256_add_ps(
-        _mm256_sub_ps(_mm256_mul_ps(k4, a1), _mm256_mul_ps(k5, a3)), a5);
+/// Transforms 8 SoA tiles (lane l of element e at src[e * ss + l]) on the
+/// active SIMD level — the engine's one dispatch point. The tile size is
+/// picked first so each AVX2 function holds one transform.
+template <template <WinogradTile> class Tf>
+[[gnu::flatten]] void apply8(WinogradTile tile, const float* src,
+                             std::size_t ss, float* dst, std::size_t ds) {
+#if GPUCNN_X86_SIMD
+  if (simd::active() == simd::Level::kAvx2) {
+    if (tile == WinogradTile::kF2) {
+      apply8_avx2<Tf<WinogradTile::kF2>>(src, ss, dst, ds);
+    } else {
+      apply8_avx2<Tf<WinogradTile::kF4>>(src, ss, dst, ds);
+    }
+    return;
   }
-  for (int row = 0; row < 6; ++row) {
-    const __m256 a0 = t[row * 6 + 0];
-    const __m256 a1 = t[row * 6 + 1];
-    const __m256 a2 = t[row * 6 + 2];
-    const __m256 a3 = t[row * 6 + 3];
-    const __m256 a4 = t[row * 6 + 4];
-    const __m256 a5 = t[row * 6 + 5];
-    _mm256_storeu_ps(
-        dst + (row * 6 + 0) * ts,
-        _mm256_add_ps(
-            _mm256_sub_ps(_mm256_mul_ps(k4, a0), _mm256_mul_ps(k5, a2)), a4));
-    _mm256_storeu_ps(dst + (row * 6 + 1) * ts,
-                     _mm256_sub_ps(_mm256_add_ps(a3, a4),
-                                   _mm256_mul_ps(k4, _mm256_add_ps(a1, a2))));
-    _mm256_storeu_ps(dst + (row * 6 + 2) * ts,
-                     _mm256_add_ps(_mm256_mul_ps(k4, _mm256_sub_ps(a1, a2)),
-                                   _mm256_sub_ps(a4, a3)));
-    _mm256_storeu_ps(dst + (row * 6 + 3) * ts,
-                     _mm256_add_ps(_mm256_mul_ps(k2, _mm256_sub_ps(a3, a1)),
-                                   _mm256_sub_ps(a4, a2)));
-    _mm256_storeu_ps(dst + (row * 6 + 4) * ts,
-                     _mm256_add_ps(_mm256_mul_ps(k2, _mm256_sub_ps(a1, a3)),
-                                   _mm256_sub_ps(a4, a2)));
-    _mm256_storeu_ps(
-        dst + (row * 6 + 5) * ts,
-        _mm256_add_ps(
-            _mm256_sub_ps(_mm256_mul_ps(k4, a1), _mm256_mul_ps(k5, a3)), a5));
-  }
+#endif
+  apply<Lanes8, Tf>(tile, src, ss, dst, ds);
 }
-
-__attribute__((target("avx2"))) void filter_tf8_f2_avx2(const float* b,
-                                                        float* dst,
-                                                        std::size_t ts) {
-  const __m256 kh = _mm256_set1_ps(0.5F);
-  __m256 t[12];
-  for (int col = 0; col < 3; ++col) {
-    const __m256 g0 = _mm256_loadu_ps(b + (0 * 3 + col) * 8);
-    const __m256 g1 = _mm256_loadu_ps(b + (1 * 3 + col) * 8);
-    const __m256 g2 = _mm256_loadu_ps(b + (2 * 3 + col) * 8);
-    t[0 * 3 + col] = g0;
-    t[1 * 3 + col] =
-        _mm256_mul_ps(kh, _mm256_add_ps(_mm256_add_ps(g0, g1), g2));
-    t[2 * 3 + col] =
-        _mm256_mul_ps(kh, _mm256_add_ps(_mm256_sub_ps(g0, g1), g2));
-    t[3 * 3 + col] = g2;
-  }
-  for (int row = 0; row < 4; ++row) {
-    const __m256 g0 = t[row * 3 + 0];
-    const __m256 g1 = t[row * 3 + 1];
-    const __m256 g2 = t[row * 3 + 2];
-    _mm256_storeu_ps(dst + (row * 4 + 0) * ts, g0);
-    _mm256_storeu_ps(
-        dst + (row * 4 + 1) * ts,
-        _mm256_mul_ps(kh, _mm256_add_ps(_mm256_add_ps(g0, g1), g2)));
-    _mm256_storeu_ps(
-        dst + (row * 4 + 2) * ts,
-        _mm256_mul_ps(kh, _mm256_add_ps(_mm256_sub_ps(g0, g1), g2)));
-    _mm256_storeu_ps(dst + (row * 4 + 3) * ts, g2);
-  }
-}
-
-__attribute__((target("avx2"))) void filter_tf8_f4_avx2(const float* b,
-                                                        float* dst,
-                                                        std::size_t ts) {
-  const __m256 kq = _mm256_set1_ps(0.25F);
-  const __m256 kn6 = _mm256_set1_ps(kN6);
-  const __m256 kp6 = _mm256_set1_ps(kP6);
-  const __m256 kp12 = _mm256_set1_ps(kP12);
-  const __m256 kp24 = _mm256_set1_ps(kP24);
-  __m256 t[18];
-  for (int col = 0; col < 3; ++col) {
-    const __m256 g0 = _mm256_loadu_ps(b + (0 * 3 + col) * 8);
-    const __m256 g1 = _mm256_loadu_ps(b + (1 * 3 + col) * 8);
-    const __m256 g2 = _mm256_loadu_ps(b + (2 * 3 + col) * 8);
-    t[0 * 3 + col] = _mm256_mul_ps(kq, g0);
-    t[1 * 3 + col] =
-        _mm256_mul_ps(kn6, _mm256_add_ps(_mm256_add_ps(g0, g1), g2));
-    t[2 * 3 + col] =
-        _mm256_mul_ps(kp6, _mm256_sub_ps(_mm256_sub_ps(g1, g0), g2));
-    t[3 * 3 + col] = _mm256_add_ps(
-        _mm256_add_ps(_mm256_mul_ps(kp24, g0), _mm256_mul_ps(kp12, g1)),
-        _mm256_mul_ps(kp6, g2));
-    t[4 * 3 + col] = _mm256_add_ps(
-        _mm256_sub_ps(_mm256_mul_ps(kp24, g0), _mm256_mul_ps(kp12, g1)),
-        _mm256_mul_ps(kp6, g2));
-    t[5 * 3 + col] = g2;
-  }
-  for (int row = 0; row < 6; ++row) {
-    const __m256 g0 = t[row * 3 + 0];
-    const __m256 g1 = t[row * 3 + 1];
-    const __m256 g2 = t[row * 3 + 2];
-    _mm256_storeu_ps(dst + (row * 6 + 0) * ts, _mm256_mul_ps(kq, g0));
-    _mm256_storeu_ps(
-        dst + (row * 6 + 1) * ts,
-        _mm256_mul_ps(kn6, _mm256_add_ps(_mm256_add_ps(g0, g1), g2)));
-    _mm256_storeu_ps(
-        dst + (row * 6 + 2) * ts,
-        _mm256_mul_ps(kp6, _mm256_sub_ps(_mm256_sub_ps(g1, g0), g2)));
-    _mm256_storeu_ps(
-        dst + (row * 6 + 3) * ts,
-        _mm256_add_ps(
-            _mm256_add_ps(_mm256_mul_ps(kp24, g0), _mm256_mul_ps(kp12, g1)),
-            _mm256_mul_ps(kp6, g2)));
-    _mm256_storeu_ps(
-        dst + (row * 6 + 4) * ts,
-        _mm256_add_ps(
-            _mm256_sub_ps(_mm256_mul_ps(kp24, g0), _mm256_mul_ps(kp12, g1)),
-            _mm256_mul_ps(kp6, g2)));
-    _mm256_storeu_ps(dst + (row * 6 + 5) * ts, g2);
-  }
-}
-
-__attribute__((target("avx2"))) void output_tf8_f2_avx2(const float* msrc,
-                                                        std::size_t ts,
-                                                        float* y) {
-  __m256 t[8];
-  for (int col = 0; col < 4; ++col) {
-    const __m256 m0 = _mm256_loadu_ps(msrc + (0 * 4 + col) * ts);
-    const __m256 m1 = _mm256_loadu_ps(msrc + (1 * 4 + col) * ts);
-    const __m256 m2 = _mm256_loadu_ps(msrc + (2 * 4 + col) * ts);
-    const __m256 m3 = _mm256_loadu_ps(msrc + (3 * 4 + col) * ts);
-    t[0 * 4 + col] = _mm256_add_ps(_mm256_add_ps(m0, m1), m2);
-    t[1 * 4 + col] = _mm256_sub_ps(_mm256_sub_ps(m1, m2), m3);
-  }
-  for (int row = 0; row < 2; ++row) {
-    const __m256 m0 = t[row * 4 + 0];
-    const __m256 m1 = t[row * 4 + 1];
-    const __m256 m2 = t[row * 4 + 2];
-    const __m256 m3 = t[row * 4 + 3];
-    _mm256_storeu_ps(y + (row * 2 + 0) * 8,
-                     _mm256_add_ps(_mm256_add_ps(m0, m1), m2));
-    _mm256_storeu_ps(y + (row * 2 + 1) * 8,
-                     _mm256_sub_ps(_mm256_sub_ps(m1, m2), m3));
-  }
-}
-
-__attribute__((target("avx2"))) void output_tf8_f4_avx2(const float* msrc,
-                                                        std::size_t ts,
-                                                        float* y) {
-  const __m256 k2 = _mm256_set1_ps(2.0F);
-  const __m256 k4 = _mm256_set1_ps(4.0F);
-  const __m256 k8 = _mm256_set1_ps(8.0F);
-  __m256 t[24];
-  for (int col = 0; col < 6; ++col) {
-    const __m256 m0 = _mm256_loadu_ps(msrc + (0 * 6 + col) * ts);
-    const __m256 m1 = _mm256_loadu_ps(msrc + (1 * 6 + col) * ts);
-    const __m256 m2 = _mm256_loadu_ps(msrc + (2 * 6 + col) * ts);
-    const __m256 m3 = _mm256_loadu_ps(msrc + (3 * 6 + col) * ts);
-    const __m256 m4 = _mm256_loadu_ps(msrc + (4 * 6 + col) * ts);
-    const __m256 m5 = _mm256_loadu_ps(msrc + (5 * 6 + col) * ts);
-    const __m256 p1 = _mm256_add_ps(m1, m2);
-    const __m256 p2 = _mm256_add_ps(m3, m4);
-    const __m256 q1 = _mm256_sub_ps(m1, m2);
-    const __m256 q2 = _mm256_sub_ps(m3, m4);
-    t[0 * 6 + col] = _mm256_add_ps(_mm256_add_ps(m0, p1), p2);
-    t[1 * 6 + col] = _mm256_add_ps(q1, _mm256_mul_ps(k2, q2));
-    t[2 * 6 + col] = _mm256_add_ps(p1, _mm256_mul_ps(k4, p2));
-    t[3 * 6 + col] =
-        _mm256_add_ps(_mm256_add_ps(q1, _mm256_mul_ps(k8, q2)), m5);
-  }
-  for (int row = 0; row < 4; ++row) {
-    const __m256 m0 = t[row * 6 + 0];
-    const __m256 m1 = t[row * 6 + 1];
-    const __m256 m2 = t[row * 6 + 2];
-    const __m256 m3 = t[row * 6 + 3];
-    const __m256 m4 = t[row * 6 + 4];
-    const __m256 m5 = t[row * 6 + 5];
-    const __m256 p1 = _mm256_add_ps(m1, m2);
-    const __m256 p2 = _mm256_add_ps(m3, m4);
-    const __m256 q1 = _mm256_sub_ps(m1, m2);
-    const __m256 q2 = _mm256_sub_ps(m3, m4);
-    _mm256_storeu_ps(y + (row * 4 + 0) * 8,
-                     _mm256_add_ps(_mm256_add_ps(m0, p1), p2));
-    _mm256_storeu_ps(y + (row * 4 + 1) * 8,
-                     _mm256_add_ps(q1, _mm256_mul_ps(k2, q2)));
-    _mm256_storeu_ps(y + (row * 4 + 2) * 8,
-                     _mm256_add_ps(p1, _mm256_mul_ps(k4, p2)));
-    _mm256_storeu_ps(
-        y + (row * 4 + 3) * 8,
-        _mm256_add_ps(_mm256_add_ps(q1, _mm256_mul_ps(k8, q2)), m5));
-  }
-}
-
-#endif  // GPUCNN_X86_SIMD
 
 // ---------------------------------------------------------------------------
 // Scattered-GEMM driver
@@ -637,24 +350,7 @@ void scatter_data_transform(const Geometry& g, WinogradTile tile,
         }
       }
     }
-    float* dst = v + c * g.block + pl;
-#if GPUCNN_X86_SIMD
-    if (use_avx2()) {
-      if (tile == WinogradTile::kF2) {
-        data_tf8_f2_avx2(buf, dst, ts);
-      } else {
-        data_tf8_f4_avx2(buf, dst, ts);
-      }
-      return;
-    }
-#endif
-    for (std::size_t lane = 0; lane < 8; ++lane) {
-      if (tile == WinogradTile::kF2) {
-        data_tf_f2(buf + lane, 8, dst + lane, ts);
-      } else {
-        data_tf_f4(buf + lane, 8, dst + lane, ts);
-      }
-    }
+    apply8<DataTf>(tile, buf, 8, v + c * g.block + pl, ts);
   });
 }
 
@@ -674,22 +370,14 @@ void transform_filters(const Geometry& g, WinogradTile tile,
       for (std::size_t e = 0; e < 9; ++e) buf[e * 8 + lane] = gsrc[e];
     }
     float* dst = u + f * g.channels + c0;
-#if GPUCNN_X86_SIMD
-    if (lanes == 8 && use_avx2()) {
-      if (tile == WinogradTile::kF2) {
-        filter_tf8_f2_avx2(buf, dst, ts);
-      } else {
-        filter_tf8_f4_avx2(buf, dst, ts);
-      }
+    if (lanes == 8) {
+      apply8<FilterTf>(tile, buf, 8, dst, ts);
       return;
     }
-#endif
+    // A channel tail: 8-lane stores would spill into the next filter's
+    // row, so transform the remaining lanes one tile at a time.
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-      if (tile == WinogradTile::kF2) {
-        filter_tf_f2(buf + lane, 8, dst + lane, ts);
-      } else {
-        filter_tf_f4(buf + lane, 8, dst + lane, ts);
-      }
+      apply<float, FilterTf>(tile, buf + lane, 8, dst + lane, ts);
     }
   });
 }
@@ -710,24 +398,7 @@ void gather_output_transform(const Geometry& g, WinogradTile tile,
     const std::size_t pl = (unit % groups8) * 8;
     const float* msrc = mbuf + f * g.block + pl;
     alignas(32) float y[16 * 8];
-#if GPUCNN_X86_SIMD
-    if (use_avx2()) {
-      if (tile == WinogradTile::kF2) {
-        output_tf8_f2_avx2(msrc, ts, y);
-      } else {
-        output_tf8_f4_avx2(msrc, ts, y);
-      }
-    } else
-#endif
-    {
-      for (std::size_t lane = 0; lane < 8; ++lane) {
-        if (tile == WinogradTile::kF2) {
-          output_tf_f2(msrc + lane, ts, y + lane, 8);
-        } else {
-          output_tf_f4(msrc + lane, ts, y + lane, 8);
-        }
-      }
-    }
+    apply8<OutputTf>(tile, msrc, ts, y, 8);
     const float b = bias != nullptr ? bias[f] : 0.0F;
     const std::size_t lanes = std::min<std::size_t>(8, pb - pl);
     for (std::size_t lane = 0; lane < lanes; ++lane) {
@@ -782,14 +453,7 @@ void scatter_grad_transform(const Geometry& g, WinogradTile tile,
         }
       }
     }
-    float* dst = dm + f * g.block + pl;
-    for (std::size_t lane = 0; lane < 8; ++lane) {
-      if (tile == WinogradTile::kF2) {
-        grad_out_tf_f2(buf + lane, 8, dst + lane, ts);
-      } else {
-        grad_out_tf_f4(buf + lane, 8, dst + lane, ts);
-      }
-    }
+    apply8<GradOutputTf>(tile, buf, 8, dm + f * g.block + pl, ts);
   });
 }
 
@@ -922,12 +586,7 @@ void WinogradConv::backward_filter(const ConvConfig& cfg, const Tensor& input,
     for (std::size_t t = 0; t < g.positions; ++t) {
       ubuf[t] = du.data()[t * uplane + f * g.channels + c];
     }
-    float* gout = grad_filters.plane(f, c);
-    if (tile_ == WinogradTile::kF2) {
-      grad_filter_tf_f2(ubuf, 1, gout, 1);
-    } else {
-      grad_filter_tf_f4(ubuf, 1, gout, 1);
-    }
+    apply<float, GradFilterTf>(tile_, ubuf, 1, grad_filters.plane(f, c), 1);
   });
 }
 
@@ -954,27 +613,15 @@ std::shared_ptr<const PackedFilters> WinogradConv::prepack(
 namespace wino_detail {
 
 void transform_data(WinogradTile tile, const float* d, float* v) {
-  if (tile == WinogradTile::kF2) {
-    data_tf_f2(d, 1, v, 1);
-  } else {
-    data_tf_f4(d, 1, v, 1);
-  }
+  apply<float, DataTf>(tile, d, 1, v, 1);
 }
 
 void transform_filter(WinogradTile tile, const float* g, float* u) {
-  if (tile == WinogradTile::kF2) {
-    filter_tf_f2(g, 1, u, 1);
-  } else {
-    filter_tf_f4(g, 1, u, 1);
-  }
+  apply<float, FilterTf>(tile, g, 1, u, 1);
 }
 
 void transform_output(WinogradTile tile, const float* m, float* y) {
-  if (tile == WinogradTile::kF2) {
-    output_tf_f2(m, 1, y, 1);
-  } else {
-    output_tf_f4(m, 1, y, 1);
-  }
+  apply<float, OutputTf>(tile, m, 1, y, 1);
 }
 
 }  // namespace wino_detail

@@ -12,9 +12,11 @@
 // formulation: transforms scatter every tile into alpha^2 SoA planes so
 // the multiply stage becomes one (F x C) x (C x P) sgemm per tile
 // position over P = batch * tiles^2 patches, batched over a P-block to
-// bound workspace. The transforms are AVX2-vectorized 8 tiles at a time
-// (runtime-dispatched, with a portable scalar path), and the inverse
-// transform's write-back fuses the bias+ReLU epilogue.
+// bound workspace. Each transform is written once over a value type and
+// runs 8 tiles at a time in an 8-lane vector, compiled for the baseline
+// ISA and for AVX2 and picked at run time; neither build contracts to FMA,
+// so both SIMD levels give bit-identical results. The inverse transform's
+// write-back fuses the bias+ReLU epilogue.
 //
 // Only 3x3 kernels at stride 1 (pad <= 2, ungrouped) are supported;
 // backward-data reuses the forward kernel on the rotated filters, and

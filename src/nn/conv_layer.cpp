@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "blas/vector_ops.hpp"
+#include "nn/activation_layer.hpp"
 
 namespace gpucnn::nn {
 
@@ -125,6 +126,23 @@ void ConvLayer::initialize(Rng& rng) {
   weights_.fill_uniform(rng, -bound, bound);
   bias_.fill(0.0F);
   prepacked_.reset();  // panels packed from the previous weights
+}
+
+std::size_t fuse_conv_relu_pairs(std::vector<std::unique_ptr<Layer>>& layers) {
+  std::size_t fused = 0;
+  for (std::size_t i = 0; i + 1 < layers.size();) {
+    auto* conv = dynamic_cast<ConvLayer*>(layers[i].get());
+    auto* act = dynamic_cast<ActivationLayer*>(layers[i + 1].get());
+    if (conv != nullptr && !conv->fused_relu() && act != nullptr &&
+        act->function() == Activation::kRelu) {
+      conv->set_fused_relu(true);
+      layers.erase(layers.begin() + static_cast<std::ptrdiff_t>(i) + 1);
+      ++fused;
+      continue;  // the erased slot may expose another pair at i
+    }
+    ++i;
+  }
+  return fused;
 }
 
 }  // namespace gpucnn::nn

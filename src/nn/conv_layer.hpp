@@ -114,4 +114,9 @@ class ConvLayer final : public Layer {
   std::shared_ptr<const conv::PackedFilters> prepacked_;
 };
 
+/// Folds every ConvLayer -> ReLU ActivationLayer pair of a sequential
+/// layer list into the fused ConvLayer, erasing the activation; returns
+/// the number of pairs fused. Conv layers already fused are left alone.
+std::size_t fuse_conv_relu_pairs(std::vector<std::unique_ptr<Layer>>& layers);
+
 }  // namespace gpucnn::nn

@@ -215,21 +215,7 @@ void InceptionLayer::set_auto_tune(bool on) {
 
 std::size_t InceptionLayer::fuse_relu_pairs() {
   std::size_t fused = 0;
-  for (auto& branch : branches_) {
-    auto& layers = branch->layers;
-    for (std::size_t i = 0; i + 1 < layers.size();) {
-      auto* conv = dynamic_cast<ConvLayer*>(layers[i].get());
-      auto* act = dynamic_cast<ActivationLayer*>(layers[i + 1].get());
-      if (conv != nullptr && !conv->fused_relu() && act != nullptr &&
-          act->function() == Activation::kRelu) {
-        conv->set_fused_relu(true);
-        layers.erase(layers.begin() + static_cast<std::ptrdiff_t>(i) + 1);
-        ++fused;
-        continue;
-      }
-      ++i;
-    }
-  }
+  for (auto& branch : branches_) fused += fuse_conv_relu_pairs(branch->layers);
   return fused;
 }
 

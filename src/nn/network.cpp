@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "nn/activation_layer.hpp"
 #include "nn/conv_layer.hpp"
 #include "nn/quantized_conv_layer.hpp"
 #include "obs/metrics.hpp"
@@ -202,20 +201,7 @@ void Network::freeze_for_inference() {
 }
 
 std::size_t Network::fuse_conv_relu() {
-  std::size_t fused = 0;
-  for (std::size_t i = 0; i + 1 < layers_.size();) {
-    auto* conv = dynamic_cast<ConvLayer*>(layers_[i].get());
-    auto* act = dynamic_cast<ActivationLayer*>(layers_[i + 1].get());
-    if (conv != nullptr && !conv->fused_relu() && act != nullptr &&
-        act->function() == Activation::kRelu) {
-      conv->set_fused_relu(true);
-      layers_.erase(layers_.begin() +
-                    static_cast<std::ptrdiff_t>(i) + 1);
-      ++fused;
-      continue;  // the erased slot may expose another pair at i
-    }
-    ++i;
-  }
+  std::size_t fused = fuse_conv_relu_pairs(layers_);
   for (const auto& layer : layers_) fused += layer->fuse_relu_pairs();
   has_forward_state_ = false;  // cached activations no longer line up
   return fused;

@@ -1,8 +1,10 @@
 #include "nn/serialize.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <fstream>
+#include <vector>
 
 #include "core/error.hpp"
 #include "nn/quantized_conv_layer.hpp"
@@ -68,10 +70,11 @@ void load_parameters(Network& net, std::istream& is) {
   const auto count = read_pod<std::uint64_t>(is);
   check(count == params.size(),
         "checkpoint parameter-tensor count mismatch");
-  // The weights are rewritten in place, so every pack built from them
-  // goes stale.
-  for (std::size_t i = 0; i < net.size(); ++i) net.layer(i).drop_prepack();
-  for (Tensor* p : params) {
+  // Stage the whole checkpoint before touching the network, so a
+  // rejected one leaves every weight and pack as it was.
+  std::vector<std::vector<float>> staged;
+  staged.reserve(params.size());
+  for (const Tensor* p : params) {
     const TensorShape shape{
         static_cast<std::size_t>(read_pod<std::uint64_t>(is)),
         static_cast<std::size_t>(read_pod<std::uint64_t>(is)),
@@ -79,9 +82,16 @@ void load_parameters(Network& net, std::istream& is) {
         static_cast<std::size_t>(read_pod<std::uint64_t>(is))};
     check(shape == p->shape(),
           "checkpoint tensor shape mismatch (different architecture?)");
-    is.read(reinterpret_cast<char*>(p->raw()),
-            static_cast<std::streamsize>(p->count() * sizeof(float)));
+    std::vector<float>& values = staged.emplace_back(p->count());
+    is.read(reinterpret_cast<char*>(values.data()),
+            static_cast<std::streamsize>(values.size() * sizeof(float)));
     check(is.good(), "checkpoint truncated");
+  }
+  // The weights are rewritten in place, so every pack built from them
+  // goes stale.
+  for (std::size_t i = 0; i < net.size(); ++i) net.layer(i).drop_prepack();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    std::copy(staged[i].begin(), staged[i].end(), params[i]->raw());
   }
 }
 

@@ -20,8 +20,10 @@ void save_parameters(Network& net, const std::string& path);
 /// Restores parameters in place and drops every weight pack built from
 /// the old values (freeze_for_inference packs afresh). Throws
 /// gpucnn::Error on magic/version/shape mismatch or truncated input, and
-/// before writing anything when the network holds quantized layers:
-/// their int8 weights derive from the weights a load would replace.
+/// when the network holds quantized layers (their int8 weights derive
+/// from the weights a load would replace). The whole checkpoint is read
+/// and validated before anything is written, so a rejected load leaves
+/// the network's weights and packs untouched.
 void load_parameters(Network& net, std::istream& is);
 void load_parameters(Network& net, const std::string& path);
 

@@ -1,6 +1,10 @@
 // Unit and finite-difference gradient tests for every nn layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "nn/activation_layer.hpp"
 #include "nn/conv_layer.hpp"
 #include "nn/dropout_layer.hpp"
@@ -293,6 +297,82 @@ TEST(LrnLayer, Gradcheck) {
   Tensor in(2, 6, 3, 3);
   in.fill_uniform(rng, 0.2F, 1.0F);
   gradcheck_input(lrn, in, 1e-2);
+}
+
+TEST(LrnLayer, MatchesFp64ReferenceOnEveryElement) {
+  // An independent double-precision evaluation, element by element:
+  //   b(c)   = k + alpha/size * sum_{|c'-c| <= size/2} in(c')^2
+  //   out(c) = in(c) * b(c)^-beta
+  //   gin(c) = gout(c) * b(c)^-beta - 2 beta alpha/size * in(c)
+  //            * sum_{|c'-c| <= size/2} gout(c') in(c') b(c')^(-beta-1)
+  // alpha = 1 keeps the window term far above the tolerance, the clipped
+  // windows of the edge channels included. The two gin terms can cancel,
+  // so its error is relative to their magnitudes.
+  struct Case {
+    std::size_t n, c, h, w, size;
+    double beta, k;
+  };
+  constexpr Case kCases[] = {{1, 13, 5, 7, 5, 0.75, 2.0},
+                             {3, 8, 3, 5, 3, 0.6, 1.0},
+                             {1, 8, 7, 3, 5, 0.6, 1.0},
+                             {3, 13, 3, 3, 3, 0.75, 2.0}};
+  constexpr double kAlpha = 1.0;
+  constexpr double kRelTol = 1e-6;
+  for (const Case& tc : kCases) {
+    LrnLayer lrn("l", tc.size, kAlpha, tc.beta, tc.k);
+    Rng rng(tc.c * 100 + tc.size);
+    Tensor in(tc.n, tc.c, tc.h, tc.w);
+    in.fill_uniform(rng);
+    Tensor gout(in.shape());
+    gout.fill_uniform(rng);
+    Tensor out;
+    lrn.forward(in, out);
+    Tensor gin;
+    lrn.backward(in, gout, gin);
+    ASSERT_EQ(out.shape(), in.shape());
+    ASSERT_EQ(gin.shape(), in.shape());
+
+    const double norm = kAlpha / static_cast<double>(tc.size);
+    const std::size_t half = tc.size / 2;
+    const auto lo = [&](std::size_t c) { return c >= half ? c - half : 0; };
+    const auto hi = [&](std::size_t c) {
+      return std::min(c + half, tc.c - 1);
+    };
+    std::vector<double> b(tc.c);
+    for (std::size_t n = 0; n < tc.n; ++n) {
+      for (std::size_t y = 0; y < tc.h; ++y) {
+        for (std::size_t x = 0; x < tc.w; ++x) {
+          for (std::size_t c = 0; c < tc.c; ++c) {
+            double sum_sq = 0.0;
+            for (std::size_t j = lo(c); j <= hi(c); ++j) {
+              const double v = in(n, j, y, x);
+              sum_sq += v * v;
+            }
+            b[c] = tc.k + norm * sum_sq;
+          }
+          for (std::size_t c = 0; c < tc.c; ++c) {
+            double cross = 0.0;
+            for (std::size_t j = lo(c); j <= hi(c); ++j) {
+              cross += static_cast<double>(gout(n, j, y, x)) * in(n, j, y, x) *
+                       std::pow(b[j], -tc.beta - 1.0);
+            }
+            const double want_out = in(n, c, y, x) * std::pow(b[c], -tc.beta);
+            const double direct = gout(n, c, y, x) * std::pow(b[c], -tc.beta);
+            const double coupled =
+                2.0 * tc.beta * norm * in(n, c, y, x) * cross;
+            EXPECT_LE(std::abs(out(n, c, y, x) - want_out),
+                      kRelTol * std::abs(want_out))
+                << "out C=" << tc.c << " at (" << n << "," << c << "," << y
+                << "," << x << ")";
+            EXPECT_LE(std::abs(gin(n, c, y, x) - (direct - coupled)),
+                      kRelTol * (std::abs(direct) + std::abs(coupled)))
+                << "gin C=" << tc.c << " at (" << n << "," << c << "," << y
+                << "," << x << ")";
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(LrnLayer, RejectsEvenWindow) { EXPECT_THROW(LrnLayer("l", 4), Error); }

@@ -72,15 +72,50 @@ TEST(Serialize, RejectsBadMagic) {
   EXPECT_THROW(load_parameters(net, buf), Error);
 }
 
+/// Every parameter value of `net`, tensor by tensor.
+std::vector<std::vector<float>> snapshot(Network& net) {
+  std::vector<std::vector<float>> values;
+  for (const Tensor* p : net.parameters()) {
+    values.emplace_back(p->data().begin(), p->data().end());
+  }
+  return values;
+}
+
 TEST(Serialize, RejectsTruncatedStream) {
-  auto net = small_net();
+  auto source = small_net();
   Rng rng(4);
-  net.initialize(rng);
+  source.initialize(rng);
   std::stringstream buf;
-  save_parameters(net, buf);
+  save_parameters(source, buf);
   const std::string full = buf.str();
-  std::stringstream cut(full.substr(0, full.size() / 2));
-  EXPECT_THROW(load_parameters(net, cut), Error);
+
+  // Cut inside the magic, the version and the tensor count; at the start
+  // of every tensor header and of every payload; inside every payload;
+  // and one byte short of the end.
+  constexpr std::size_t kHeader = 4 + 4 + 8;
+  constexpr std::size_t kTensorHeader = 4 * 8;
+  std::vector<std::size_t> cuts{2, 6, 12};
+  std::size_t offset = kHeader;
+  for (const Tensor* p : source.parameters()) {
+    const std::size_t payload = p->count() * sizeof(float);
+    cuts.push_back(offset);
+    cuts.push_back(offset + kTensorHeader);
+    cuts.push_back(offset + kTensorHeader + payload / 2);
+    offset += kTensorHeader + payload;
+  }
+  ASSERT_EQ(offset, full.size());
+  cuts.push_back(full.size() - 1);
+
+  // A rejected load must leave the target's parameters as they were.
+  auto target = small_net();
+  Rng other(40);
+  target.initialize(other);
+  const auto before = snapshot(target);
+  for (const std::size_t cut : cuts) {
+    std::stringstream truncated(full.substr(0, cut));
+    EXPECT_THROW(load_parameters(target, truncated), Error) << "cut " << cut;
+    EXPECT_EQ(snapshot(target), before) << "cut " << cut;
+  }
 }
 
 TEST(Serialize, RejectsArchitectureMismatch) {
@@ -93,6 +128,32 @@ TEST(Serialize, RejectsArchitectureMismatch) {
   Network different;
   different.emplace<FcLayer>("fc", 8, 2);
   EXPECT_THROW(load_parameters(different, buf), Error);
+
+  // Same tensor count, and every tensor but the last has the same shape:
+  // a 3 -> 3 FC layer's weights are (1, 1, 3, 3), as are those of a
+  // single-filter 3x3 conv, but their biases differ.
+  const auto with_tail = [](bool fc_tail) {
+    Network net = small_net();
+    if (fc_tail) {
+      net.emplace<FcLayer>("tail", 3, 3);
+    } else {
+      net.emplace<ConvLayer>("tail",
+                             ConvConfig{.batch = 1, .input = 3, .channels = 1,
+                                        .filters = 1, .kernel = 3,
+                                        .stride = 1});
+    }
+    return net;
+  };
+  auto source = with_tail(true);
+  source.initialize(rng);
+  std::stringstream checkpoint;
+  save_parameters(source, checkpoint);
+  auto target = with_tail(false);
+  Rng other(50);
+  target.initialize(other);
+  const auto before = snapshot(target);
+  EXPECT_THROW(load_parameters(target, checkpoint), Error);
+  EXPECT_EQ(snapshot(target), before);
 }
 
 TEST(Serialize, FileRoundTrip) {
@@ -193,6 +254,25 @@ TEST(Serialize, RefreezingAfterALoadPacksTheLoadedWeights) {
   const Tensor in = packed_input();
   EXPECT_EQ(max_abs_diff(net.forward(in), unfrozen_output(checkpoint, in)),
             0.0);
+}
+
+TEST(Serialize, RejectedLoadKeepsAFrozenNetworksPacks) {
+  auto net = frozen_net();
+  const auto& conv = dynamic_cast<const ConvLayer&>(net.layer(0));
+  const auto& fc = dynamic_cast<const FcLayer&>(net.layer(3));
+  const auto conv_pack = conv.prepacked();
+  const auto fc_pack = fc.prepacked();
+  ASSERT_NE(conv_pack, nullptr);
+  ASSERT_NE(fc_pack, nullptr);
+  const Tensor in = packed_input();
+  const Tensor before = net.forward(in);
+
+  const std::string checkpoint = packed_checkpoint(35);
+  EXPECT_THROW(load_text(net, checkpoint.substr(0, checkpoint.size() - 1)),
+               Error);
+  EXPECT_EQ(conv.prepacked(), conv_pack);
+  EXPECT_EQ(fc.prepacked(), fc_pack);
+  EXPECT_EQ(max_abs_diff(net.forward(in), before), 0.0);
 }
 
 TEST(Serialize, LoadIntoAQuantizedNetworkThrowsAndKeepsItsWeights) {

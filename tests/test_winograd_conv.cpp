@@ -2,7 +2,8 @@
 // suite in test_winograd.cpp: the scalar transform identities the
 // scattered-GEMM formulation is built on, bit-identity of the fused
 // epilogue, the prepacked-panel lifecycle, F(2x2,3x3)-vs-F(4x4,3x3)
-// agreement on all three passes, and the fallback counter.
+// agreement on all three passes, the fallback counter, and bit-identity
+// across SIMD levels.
 #include "conv/winograd_conv.hpp"
 
 #include <array>
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "conv/direct_conv.hpp"
+#include "core/cpu_features.hpp"
 #include "core/rng.hpp"
 #include "obs/metrics.hpp"
 
@@ -312,6 +314,77 @@ TEST(WinogradTileAgreement, EngineVariantsAreDistinct) {
   EXPECT_FALSE(WinogradConv{WinogradTile::kF4}.supports(
       {.batch = 1, .input = 8, .channels = 2, .filters = 2, .kernel = 3,
        .stride = 1, .pad = 1, .groups = 2}));
+}
+
+// --- SIMD levels ----------------------------------------------------------
+
+/// Pins the SIMD level for one scope and restores the previous one.
+class SimdGuard {
+ public:
+  explicit SimdGuard(simd::Level level)
+      : previous_(simd::set_active_for_testing(level)) {}
+  ~SimdGuard() { simd::set_active_for_testing(previous_); }
+  SimdGuard(const SimdGuard&) = delete;
+  SimdGuard& operator=(const SimdGuard&) = delete;
+
+ private:
+  simd::Level previous_;
+};
+
+TEST(WinogradSimd, PortableAndAvx2AreBitIdentical) {
+  if (!simd::cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  // Every sgemm here stays under the 64^3 small-problem cut-off, which
+  // runs the same loop on both levels, so a difference can only come from
+  // the transforms. C = 8 and 16 run the 8-lane filter transform, and
+  // C = 3 (and 5, as backward-data's channel count) its channel tail.
+  struct Case {
+    std::size_t batch, input, channels, filters, pad;
+  };
+  constexpr std::array<Case, 3> kCases{
+      {{2, 12, 8, 8, 1}, {1, 9, 16, 5, 0}, {3, 7, 3, 8, 2}}};
+  const SimdGuard restore(simd::active());
+  for (const WinogradTile tile : kTiles) {
+    const WinogradConv engine(tile);
+    for (const Case& c : kCases) {
+      const ConvConfig cfg{.batch = c.batch, .input = c.input,
+                           .channels = c.channels, .filters = c.filters,
+                           .kernel = 3, .stride = 1, .pad = c.pad};
+      Rng rng(39);
+      Tensor in(cfg.input_shape());
+      in.fill_uniform(rng);
+      Tensor w(cfg.filter_shape());
+      w.fill_uniform(rng);
+      Tensor gout(cfg.output_shape());
+      gout.fill_uniform(rng);
+      std::vector<float> bias(cfg.filters);
+      for (auto& b : bias) b = static_cast<float>(rng.uniform(-0.5, 0.5));
+
+      // Forward plain, with bias + ReLU, and from a pack built at the same
+      // level; backward-data; backward-filter.
+      std::array<std::vector<Tensor>, 2> outputs;
+      for (const simd::Level level :
+           {simd::Level::kPortable, simd::Level::kAvx2}) {
+        ASSERT_EQ(simd::set_active_for_testing(level), level);
+        std::vector<Tensor>& out =
+            outputs[level == simd::Level::kAvx2 ? 1 : 0];
+        out = {Tensor(cfg.output_shape()), Tensor(cfg.output_shape()),
+               Tensor(cfg.output_shape()), Tensor(cfg.input_shape()),
+               Tensor(cfg.filter_shape())};
+        engine.forward(cfg, in, w, out[0]);
+        engine.forward(cfg, in, w, out[1], {.bias = bias, .relu = true});
+        const auto packed = engine.prepack(cfg, w);
+        ASSERT_NE(packed, nullptr);
+        engine.forward(cfg, in, w, out[2],
+                       {.bias = bias, .relu = true, .packed = packed.get()});
+        engine.backward_data(cfg, gout, w, out[3]);
+        engine.backward_filter(cfg, in, gout, out[4]);
+      }
+      for (std::size_t i = 0; i < outputs[0].size(); ++i) {
+        EXPECT_EQ(max_abs_diff(outputs[0][i], outputs[1][i]), 0.0)
+            << label_of(tile) << " C=" << c.channels << " output " << i;
+      }
+    }
+  }
 }
 
 }  // namespace
