@@ -259,15 +259,15 @@ void BM_DepthwiseViaGroupedGemm(benchmark::State& state) {
 BENCHMARK(BM_DepthwiseConvForward);
 BENCHMARK(BM_DepthwiseViaGroupedGemm);
 
-/// Pointwise (1x1) projection layer from the same separable block. The
-/// fast path feeds the NCHW planes straight to SGEMM; the staged path
-/// copies them through the column buffer first.
+/// Pointwise (1x1) projection layer from the same separable block.
+/// GemmConv feeds the NCHW planes straight to SGEMM; the staged lowering
+/// copies them through the column buffer first (im2col, then the same
+/// SGEMM).
 constexpr ConvConfig kPointwiseCfg{.batch = 1, .input = 56, .channels = 64,
                                    .filters = 128, .kernel = 1, .stride = 1,
                                    .pad = 0};
 
-void pointwise_forward_bench(benchmark::State& state, bool fast_path) {
-  const bool previous = conv::set_pointwise_fast_path(fast_path);
+void pointwise_forward_bench(benchmark::State& state, bool staged) {
   const conv::GemmConv engine;
   Rng rng(13);
   Tensor in(kPointwiseCfg.input_shape());
@@ -275,11 +275,19 @@ void pointwise_forward_bench(benchmark::State& state, bool fast_path) {
   Tensor w(kPointwiseCfg.filter_shape());
   w.fill_uniform(rng);
   Tensor out(kPointwiseCfg.output_shape());
+  const std::size_t cols = kPointwiseCfg.output() * kPointwiseCfg.output();
+  std::vector<float> col(conv::col_buffer_size(kPointwiseCfg));
   for (auto _ : state) {
-    engine.forward(kPointwiseCfg, in, w, out);
+    if (staged) {
+      conv::im2col(kPointwiseCfg, in.data(), col);
+      blas::sgemm(blas::Trans::kNo, blas::Trans::kNo, kPointwiseCfg.filters,
+                  cols, kPointwiseCfg.channels, 1.0F, w.data(),
+                  kPointwiseCfg.channels, col, cols, 0.0F, out.data(), cols);
+    } else {
+      engine.forward(kPointwiseCfg, in, w, out);
+    }
     benchmark::DoNotOptimize(out.raw());
   }
-  conv::set_pointwise_fast_path(previous);
   state.counters["GFLOP/s"] = benchmark::Counter(
       kPointwiseCfg.forward_flops() *
           static_cast<double>(state.iterations()) / 1e9,
@@ -287,10 +295,10 @@ void pointwise_forward_bench(benchmark::State& state, bool fast_path) {
 }
 
 void BM_PointwiseConvDirectGemm(benchmark::State& state) {
-  pointwise_forward_bench(state, /*fast_path=*/true);
+  pointwise_forward_bench(state, /*staged=*/false);
 }
 void BM_PointwiseConvStagedIm2col(benchmark::State& state) {
-  pointwise_forward_bench(state, /*fast_path=*/false);
+  pointwise_forward_bench(state, /*staged=*/true);
 }
 BENCHMARK(BM_PointwiseConvDirectGemm);
 BENCHMARK(BM_PointwiseConvStagedIm2col);
@@ -497,8 +505,8 @@ void BM_SgemmPrepacked(benchmark::State& state) {
   // Weights packed once, outside the loop — the serving steady state.
   const blas::PackedMatrix pa = blas::pack_a(blas::Trans::kNo, n, n, a, n);
   for (auto _ : state) {
-    blas::sgemm_prepacked(n, n, n, 1.0F, pa, blas::Trans::kNo, b, n, 0.0F,
-                          c, n);
+    blas::sgemm(blas::Trans::kNo, blas::Trans::kNo, n, n, n, 1.0F, a, n, b,
+                n, 0.0F, c, n, {}, &pa);
     benchmark::DoNotOptimize(c.data());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
@@ -527,7 +535,7 @@ void BM_Int8GemmPrepacked(benchmark::State& state) {
   std::vector<float> c(n * n, 0.0F);
   const blas::PackedMatrixI8 pa = blas::pack_a_i8(n, n, a, n);
   for (auto _ : state) {
-    blas::igemm_prepacked(n, n, n, pa, b, n, ep, c, n);
+    blas::igemm(n, n, n, a, n, b, n, ep, c, n, &pa);
     benchmark::DoNotOptimize(c.data());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(

@@ -1,14 +1,10 @@
 #include "blas/gemm.hpp"
 
-#include <algorithm>
 #include <cstring>
 
+#include "blas/blocked.hpp"
 #include "blas/packed.hpp"
-
 #include "core/cpu_features.hpp"
-#include "core/error.hpp"
-#include "core/thread_pool.hpp"
-#include "core/workspace.hpp"
 #include "obs/metrics.hpp"
 
 #if GPUCNN_X86_SIMD
@@ -17,30 +13,6 @@
 
 namespace gpucnn::blas {
 namespace {
-
-// Blocking parameters (GotoBLAS-style): C is updated in mr x nr micro
-// tiles, A is packed in MC x KC panels, B in KC x NC panels. Values chosen
-// so the packed A panel fits L2 and a B micro panel fits L1 on typical
-// x86 cores; the ablation bench sweeps these. kMc/kNc are multiples of
-// every micro-tile edge (8x8 portable, 6x16 AVX2) so full panels pack
-// without ragged tiles.
-constexpr std::size_t kMc = 120;
-constexpr std::size_t kKc = 256;
-constexpr std::size_t kNc = 2048;
-
-// The micro-kernel contract: fn(kc, packed_a, packed_b, acc) fully
-// overwrites acc (mr x nr row-major) with packed_a(kc x mr)^T *
-// packed_b(kc x nr). Which kernel (and thus which tile shape) runs is
-// picked per call from simd::active().
-struct MicroKernel {
-  std::size_t mr;
-  std::size_t nr;
-  // __restrict matters: the kernels are called through this pointer, so
-  // without it the compiler must assume acc aliases the packed panels
-  // and cannot vectorise the accumulation.
-  void (*fn)(std::size_t kc, const float* __restrict packed_a,
-             const float* __restrict packed_b, float* __restrict acc);
-};
 
 // Portable micro kernel (8x8). On GCC/Clang it uses generic vector
 // extensions (no ISA-specific intrinsics — the compiler lowers the 4-wide
@@ -138,47 +110,6 @@ __attribute__((target("avx2,fma"))) void micro_kernel_6x16_avx2(
 }
 #endif  // GPUCNN_X86_SIMD
 
-MicroKernel select_micro_kernel() {
-#if GPUCNN_X86_SIMD
-  if (simd::active() == simd::Level::kAvx2) {
-    return {6, 16, micro_kernel_6x16_avx2};
-  }
-#endif
-  return {8, 8, micro_kernel_8x8_portable};
-}
-
-// Largest mr * nr any kernel uses; micro-tile accumulators live on the
-// stack at this size.
-constexpr std::size_t kMaxTileElems = 8 * 16;
-
-// Packing traffic split by operand: for the conv engines A is the
-// weights and B the im2col'd activations; for FcLayer the roles flip.
-// The split lets dashboards separate the weight packing the prepack
-// cache eliminates from the unavoidable per-call activation packing.
-obs::Counter& bytes_packed_a_counter() {
-  static obs::Counter& c =
-      obs::metrics().counter("blas.sgemm.bytes_packed_a");
-  return c;
-}
-
-obs::Counter& bytes_packed_b_counter() {
-  static obs::Counter& c =
-      obs::metrics().counter("blas.sgemm.bytes_packed_b");
-  return c;
-}
-
-obs::Counter& prepack_hits_counter() {
-  static obs::Counter& c =
-      obs::metrics().counter("blas.sgemm.prepack_hits");
-  return c;
-}
-
-obs::Counter& prepack_bytes_counter() {
-  static obs::Counter& c =
-      obs::metrics().counter("blas.sgemm.prepack_bytes");
-  return c;
-}
-
 obs::Counter& epilogue_calls_counter() {
   static obs::Counter& c =
       obs::metrics().counter("blas.sgemm.epilogue_calls");
@@ -198,39 +129,68 @@ inline float element(std::span<const float> x, std::size_t ld, Trans trans,
   return trans == Trans::kNo ? x[row * ld + col] : x[col * ld + row];
 }
 
-// Packs a kc x nr slice of op(B) starting at (p0, j0) into `dst` in
-// row-of-micro-tile order; columns beyond `jn` are zero padded. The
-// no-transpose case copies contiguous rows of B.
-void pack_b_panel(std::span<const float> b, std::size_t ldb, Trans trans_b,
-                  std::size_t p0, std::size_t kc, std::size_t j0,
-                  std::size_t jn, std::size_t nr, float* dst) {
-  if (trans_b == Trans::kNo && jn == nr) {
-    const float* src = b.data() + p0 * ldb + j0;
-    for (std::size_t p = 0; p < kc; ++p) {
-      std::memcpy(dst + p * nr, src + p * ldb, nr * sizeof(float));
-    }
-    return;
-  }
-  for (std::size_t p = 0; p < kc; ++p) {
-    for (std::size_t j = 0; j < nr; ++j) {
-      dst[p * nr + j] =
-          j < jn ? element(b, ldb, trans_b, p0 + p, j0 + j) : 0.0F;
-    }
-  }
-}
+// The fp32 family of the blocked loop nest (blas/blocked.hpp).
+struct Sgemm {
+  using A = float;
+  using B = float;
+  using Acc = float;
+  static constexpr const char* kName = "sgemm";
+  // C is updated in mr x nr micro tiles, A is packed in MC x KC panels,
+  // B in KC x NC panels. Values chosen so the packed A panel fits L2 and
+  // a B micro panel fits L1 on typical x86 cores; the ablation bench
+  // sweeps these. kMc/kNc are multiples of every micro-tile edge (8x8
+  // portable, 6x16 AVX2) so full panels pack without ragged tiles.
+  static constexpr std::size_t kMc = 120;
+  static constexpr std::size_t kKc = 256;
+  static constexpr std::size_t kNc = 2048;
+  static constexpr std::size_t kStepK = 1;
+  static constexpr std::size_t kMaxTile = 8 * 16;
 
-// Packs an mr x kc slice of op(A) starting at (i0, p0) into `dst`; rows
-// beyond `im` are zero padded.
-void pack_a_panel(std::span<const float> a, std::size_t lda, Trans trans_a,
-                  std::size_t i0, std::size_t im, std::size_t p0,
-                  std::size_t kc, std::size_t mr, float* dst) {
-  for (std::size_t p = 0; p < kc; ++p) {
-    for (std::size_t i = 0; i < mr; ++i) {
-      dst[p * mr + i] =
-          i < im ? element(a, lda, trans_a, i0 + i, p0 + p) : 0.0F;
+  // Which kernel (and thus which tile shape) runs is picked per call
+  // from simd::active().
+  static MicroKernel<float, float, float> kernel() {
+#if GPUCNN_X86_SIMD
+    if (simd::active() == simd::Level::kAvx2) {
+      return {6, 16, micro_kernel_6x16_avx2};
+    }
+#endif
+    return {8, 8, micro_kernel_8x8_portable};
+  }
+
+  // Packs an mr x kc slice of op(A) starting at (i0, p0) into `dst`;
+  // rows beyond `im` are zero padded.
+  static void pack_a(Operand<float> a, std::size_t i0, std::size_t im,
+                     std::size_t p0, std::size_t kc, std::size_t mr,
+                     float* dst) {
+    for (std::size_t p = 0; p < kc; ++p) {
+      for (std::size_t i = 0; i < mr; ++i) {
+        dst[p * mr + i] =
+            i < im ? element(a.data, a.ld, a.trans, i0 + i, p0 + p) : 0.0F;
+      }
     }
   }
-}
+
+  // Packs a kc x nr slice of op(B) starting at (p0, j0) into `dst` in
+  // row-of-micro-tile order; columns beyond `jn` are zero padded. The
+  // no-transpose case copies contiguous rows of B.
+  static void pack_b(Operand<float> b, std::size_t p0, std::size_t kc,
+                     std::size_t j0, std::size_t jn, std::size_t nr,
+                     float* dst) {
+    if (b.trans == Trans::kNo && jn == nr) {
+      const float* src = b.data.data() + p0 * b.ld + j0;
+      for (std::size_t p = 0; p < kc; ++p) {
+        std::memcpy(dst + p * nr, src + p * b.ld, nr * sizeof(float));
+      }
+      return;
+    }
+    for (std::size_t p = 0; p < kc; ++p) {
+      for (std::size_t j = 0; j < nr; ++j) {
+        dst[p * nr + j] =
+            j < jn ? element(b.data, b.ld, b.trans, p0 + p, j0 + j) : 0.0F;
+      }
+    }
+  }
+};
 
 // C-tile writeback: crow = alpha * acc + beta * crow, with beta == 0
 // treated as overwrite per BLAS convention (crow may be uninitialised).
@@ -288,138 +248,24 @@ void scale_c(std::size_t m, std::size_t n, float beta, std::span<float> c,
   }
 }
 
-// True when `p` can feed the blocked loop in place of staged packing:
-// it was packed for the micro-tile shape that will run and describes
-// exactly the operand of this call.
-bool pack_usable(const PackedMatrix& p, PackedMatrix::Role role,
-                 std::size_t rows, std::size_t cols, std::size_t tile) {
-  return p.valid() && p.role() == role && p.rows() == rows &&
-         p.cols() == cols && p.tile() == tile && p.kc_block() == kKc;
-}
+// The fp32 write-back of one micro tile: beta on the first k block and 1
+// after, then bias + ReLU once the tile's reduction over k is complete —
+// the tile is hot, so the epilogue is free bandwidth-wise.
+struct SgemmWrite {
+  float* c;
+  std::size_t ldc;
+  float alpha;
+  float beta;
+  const Epilogue& ep;
 
-// The shared driver behind sgemm and both sgemm_prepacked overloads.
-// `pa` / `pb` (either may be null) supply pre-packed panels; a non-null
-// pack that fails pack_usable is demoted to staged packing over the
-// same a/b spans, so every call runs exactly one code shape and the
-// prepacked results are bit-identical by construction.
-void sgemm_driver(Trans trans_a, Trans trans_b, std::size_t m,
-                  std::size_t n, std::size_t k, float alpha,
-                  std::span<const float> a, std::size_t lda,
-                  std::span<const float> b, std::size_t ldb, float beta,
-                  std::span<float> c, std::size_t ldc, const Epilogue& ep,
-                  const PackedMatrix* pa, const PackedMatrix* pb) {
-  if (m == 0 || n == 0) return;
-  if (ep.active()) {
-    epilogue_calls_counter().add(1);
-    epilogue_elems_counter().add(static_cast<std::int64_t>(m * n));
+  void operator()(const float* acc, std::size_t nr, std::size_t i0,
+                  std::size_t im, std::size_t j0, std::size_t jn,
+                  bool first_k, bool last_k) const {
+    float* tile = c + i0 * ldc + j0;
+    write_tile(tile, ldc, acc, nr, im, jn, alpha, first_k ? beta : 1.0F);
+    if (last_k && ep.active()) apply_epilogue(tile, ldc, i0, im, jn, ep);
   }
-  if (k == 0 || alpha == 0.0F) {
-    scale_c(m, n, beta, c, ldc);
-    if (ep.active()) apply_epilogue(c.data(), ldc, 0, m, n, ep);
-    return;
-  }
-
-  // Small problems: dispatch overhead and packing dominate; fall back.
-  if (static_cast<double>(m) * static_cast<double>(n) *
-          static_cast<double>(k) < 64.0 * 64.0 * 64.0) {
-    sgemm_naive(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c,
-                ldc);
-    if (ep.active()) apply_epilogue(c.data(), ldc, 0, m, n, ep);
-    return;
-  }
-
-  const MicroKernel uk = select_micro_kernel();
-  const std::size_t mr = uk.mr;
-  const std::size_t nr = uk.nr;
-
-  if (pa != nullptr && !pack_usable(*pa, PackedMatrix::Role::kA, m, k, mr)) {
-    pa = nullptr;
-  }
-  if (pb != nullptr && !pack_usable(*pb, PackedMatrix::Role::kB, k, n, nr)) {
-    pb = nullptr;
-  }
-  if (pa != nullptr || pb != nullptr) prepack_hits_counter().add(1);
-  // Global tile counts the pack layouts are blocked by (kNc is a
-  // multiple of nr and kMc of mr, so staged windows land on whole
-  // global tiles and a window's panels are a contiguous pack slice).
-  const std::size_t a_tiles_total = (m + mr - 1) / mr;
-  const std::size_t b_tiles_total = (n + nr - 1) / nr;
-
-  for (std::size_t jc = 0; jc < n; jc += kNc) {
-    const std::size_t nc = std::min(kNc, n - jc);
-    for (std::size_t pc = 0; pc < k; pc += kKc) {
-      const std::size_t kc = std::min(kKc, k - pc);
-      const float beta_block = pc == 0 ? beta : 1.0F;
-      // The epilogue fires only on the write-back that completes a C
-      // tile's reduction over k — the tile is hot, bias and ReLU are
-      // free bandwidth-wise.
-      const bool last_k_block = pc + kc == k;
-      const std::size_t block = pc / kKc;  // pc-block index into packs
-
-      // Pack the whole B panel once (tiles in parallel) — or take the
-      // k-block's slice of the prepacked panels; row blocks of A then
-      // proceed in parallel against the shared panel.
-      const std::size_t n_tiles = (nc + nr - 1) / nr;
-      ws::Scratch<float> packed_b(pb == nullptr ? n_tiles * kc * nr : 0);
-      const float* pb_panel = nullptr;
-      if (pb == nullptr) {
-        float* dst = packed_b.data();
-        parallel_for(
-            0, n_tiles,
-            [&](std::size_t t) {
-              const std::size_t j0 = jc + t * nr;
-              pack_b_panel(b, ldb, trans_b, pc, kc, j0,
-                           std::min(nr, n - j0), nr, dst + t * kc * nr);
-            },
-            /*serial_threshold=*/8);
-        bytes_packed_b_counter().add(
-            static_cast<std::int64_t>(n_tiles * kc * nr * sizeof(float)));
-        pb_panel = dst;
-      } else {
-        pb_panel = pb->data() + block * b_tiles_total * kKc * nr +
-                   (jc / nr) * kc * nr;
-      }
-
-      const std::size_t m_blocks = (m + kMc - 1) / kMc;
-      parallel_for(0, m_blocks, [&](std::size_t mb) {
-        const std::size_t ic = mb * kMc;
-        const std::size_t mc = std::min(kMc, m - ic);
-        const std::size_t m_tiles = (mc + mr - 1) / mr;
-        ws::Scratch<float> packed_a(pa == nullptr ? m_tiles * kc * mr : 0);
-        const float* pa_panel = nullptr;
-        if (pa == nullptr) {
-          for (std::size_t t = 0; t < m_tiles; ++t) {
-            const std::size_t i0 = ic + t * mr;
-            pack_a_panel(a, lda, trans_a, i0, std::min(mr, m - i0), pc, kc,
-                         mr, packed_a.data() + t * kc * mr);
-          }
-          bytes_packed_a_counter().add(static_cast<std::int64_t>(
-              m_tiles * kc * mr * sizeof(float)));
-          pa_panel = packed_a.data();
-        } else {
-          pa_panel = pa->data() + block * a_tiles_total * kKc * mr +
-                     (ic / mr) * kc * mr;
-        }
-        alignas(64) float acc[kMaxTileElems];
-        for (std::size_t ti = 0; ti < m_tiles; ++ti) {
-          const std::size_t i0 = ic + ti * mr;
-          const std::size_t im = std::min(mr, m - i0);
-          for (std::size_t tj = 0; tj < n_tiles; ++tj) {
-            const std::size_t j0 = jc + tj * nr;
-            const std::size_t jn = std::min(nr, n - j0);
-            uk.fn(kc, pa_panel + ti * kc * mr, pb_panel + tj * kc * nr,
-                  acc);
-            write_tile(c.data() + i0 * ldc + j0, ldc, acc, nr, im, jn,
-                       alpha, beta_block);
-            if (last_k_block && ep.active()) {
-              apply_epilogue(c.data() + i0 * ldc + j0, ldc, i0, im, jn, ep);
-            }
-          }
-        }
-      });
-    }
-  }
-}
+};
 
 }  // namespace
 
@@ -445,18 +291,32 @@ void sgemm_naive(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
 void sgemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
            std::size_t k, float alpha, std::span<const float> a,
            std::size_t lda, std::span<const float> b, std::size_t ldb,
-           float beta, std::span<float> c, std::size_t ldc) {
-  sgemm(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-        Epilogue{});
-}
-
-void sgemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
-           std::size_t k, float alpha, std::span<const float> a,
-           std::size_t lda, std::span<const float> b, std::size_t ldb,
            float beta, std::span<float> c, std::size_t ldc,
-           const Epilogue& ep) {
-  sgemm_driver(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c,
-               ldc, ep, nullptr, nullptr);
+           const Epilogue& ep, const PackedMatrix* packed) {
+  if (m == 0 || n == 0) return;
+  if (ep.active()) {
+    epilogue_calls_counter().add(1);
+    epilogue_elems_counter().add(static_cast<std::int64_t>(m * n));
+  }
+  if (k == 0 || alpha == 0.0F) {
+    scale_c(m, n, beta, c, ldc);
+    if (ep.active()) apply_epilogue(c.data(), ldc, 0, m, n, ep);
+    return;
+  }
+
+  // Small problems: dispatch overhead and packing dominate; fall back.
+  if (static_cast<double>(m) * static_cast<double>(n) *
+          static_cast<double>(k) < 64.0 * 64.0 * 64.0) {
+    sgemm_naive(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c,
+                ldc);
+    if (ep.active()) apply_epilogue(c.data(), ldc, 0, m, n, ep);
+    return;
+  }
+
+  // The pack is offered for both operands; its role makes it usable for
+  // exactly one of them.
+  run_blocked<Sgemm>(m, n, k, {a, lda, trans_a}, {b, ldb, trans_b}, packed,
+                     packed, SgemmWrite{c.data(), ldc, alpha, beta, ep});
 }
 
 void sgemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
@@ -469,80 +329,14 @@ void sgemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
 
 PackedMatrix pack_a(Trans trans_a, std::size_t m, std::size_t k,
                     std::span<const float> a, std::size_t lda) {
-  PackedMatrix p;
-  p.role_ = PackedMatrix::Role::kA;
-  p.trans_ = trans_a;
-  p.rows_ = m;
-  p.cols_ = k;
-  p.origin_ = a;
-  p.origin_ld_ = lda;
-  if (m == 0 || k == 0) return p;
-  const MicroKernel uk = select_micro_kernel();
-  const std::size_t mr = uk.mr;
-  p.level_ = simd::active();
-  p.tile_ = mr;
-  p.kc_block_ = kKc;
-  const std::size_t tiles = (m + mr - 1) / mr;
-  p.data_.resize(tiles * mr * k);  // sum over k blocks of tiles*kc*mr
-  for (std::size_t pc = 0; pc < k; pc += kKc) {
-    const std::size_t kc = std::min(kKc, k - pc);
-    float* block = p.data_.data() + (pc / kKc) * tiles * kKc * mr;
-    for (std::size_t t = 0; t < tiles; ++t) {
-      const std::size_t i0 = t * mr;
-      pack_a_panel(a, lda, trans_a, i0, std::min(mr, m - i0), pc, kc, mr,
-                   block + t * kc * mr);
-    }
-  }
-  prepack_bytes_counter().add(static_cast<std::int64_t>(p.bytes()));
-  return p;
+  return detail::PackBuilder<Sgemm>::build<PackRole::kA>(m, k,
+                                                         {a, lda, trans_a});
 }
 
 PackedMatrix pack_b(Trans trans_b, std::size_t k, std::size_t n,
                     std::span<const float> b, std::size_t ldb) {
-  PackedMatrix p;
-  p.role_ = PackedMatrix::Role::kB;
-  p.trans_ = trans_b;
-  p.rows_ = k;
-  p.cols_ = n;
-  p.origin_ = b;
-  p.origin_ld_ = ldb;
-  if (k == 0 || n == 0) return p;
-  const MicroKernel uk = select_micro_kernel();
-  const std::size_t nr = uk.nr;
-  p.level_ = simd::active();
-  p.tile_ = nr;
-  p.kc_block_ = kKc;
-  const std::size_t tiles = (n + nr - 1) / nr;
-  p.data_.resize(tiles * nr * k);
-  for (std::size_t pc = 0; pc < k; pc += kKc) {
-    const std::size_t kc = std::min(kKc, k - pc);
-    float* block = p.data_.data() + (pc / kKc) * tiles * kKc * nr;
-    for (std::size_t t = 0; t < tiles; ++t) {
-      const std::size_t j0 = t * nr;
-      pack_b_panel(b, ldb, trans_b, pc, kc, j0, std::min(nr, n - j0), nr,
-                   block + t * kc * nr);
-    }
-  }
-  prepack_bytes_counter().add(static_cast<std::int64_t>(p.bytes()));
-  return p;
-}
-
-void sgemm_prepacked(std::size_t m, std::size_t n, std::size_t k,
-                     float alpha, const PackedMatrix& a, Trans trans_b,
-                     std::span<const float> b, std::size_t ldb, float beta,
-                     std::span<float> c, std::size_t ldc,
-                     const Epilogue& ep) {
-  sgemm_driver(a.trans(), trans_b, m, n, k, alpha, a.origin(),
-               a.origin_ld(), b, ldb, beta, c, ldc, ep, &a, nullptr);
-}
-
-void sgemm_prepacked(Trans trans_a, std::size_t m, std::size_t n,
-                     std::size_t k, float alpha, std::span<const float> a,
-                     std::size_t lda, const PackedMatrix& b, float beta,
-                     std::span<float> c, std::size_t ldc,
-                     const Epilogue& ep) {
-  sgemm_driver(trans_a, b.trans(), m, n, k, alpha, a, lda, b.origin(),
-               b.origin_ld(), beta, c, ldc, ep, nullptr, &b);
+  return detail::PackBuilder<Sgemm>::build<PackRole::kB>(k, n,
+                                                         {b, ldb, trans_b});
 }
 
 }  // namespace gpucnn::blas

@@ -1,16 +1,15 @@
 #include "blas/igemm.hpp"
 
-#include "blas/packed.hpp"
-
-#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <type_traits>
 
+#include "blas/blocked.hpp"
+#include "blas/packed.hpp"
 #include "core/cpu_features.hpp"
 #include "core/error.hpp"
-#include "core/thread_pool.hpp"
 #include "core/workspace.hpp"
 #include "obs/metrics.hpp"
 
@@ -21,29 +20,20 @@
 namespace gpucnn::blas {
 namespace {
 
-// Blocking parameters. The micro tile is 4x16 (4 weight rows, 16
-// activation columns, 8 ymm int32 accumulators on AVX2); k advances in
-// quads of 4 bytes because maddubs/madd reduce 4 products per int32
-// lane per step. kKcI is a multiple of 4; kMcI of 4; kNcI of 16.
+// The micro tile is 4x16 (4 weight rows, 16 activation columns, 8 ymm
+// int32 accumulators on AVX2); k advances in quads of 4 bytes because
+// maddubs/madd reduce 4 products per int32 lane per step.
 constexpr std::size_t kMr = 4;
 constexpr std::size_t kNr = 16;
-constexpr std::size_t kMcI = 96;
-constexpr std::size_t kKcI = 1536;
 
 // The packed-operand contract: for each k quad, the B tile stores
 // 64 bytes — columns 0..7 x 4 k-bytes, then columns 8..15 x 4 k-bytes —
 // and the A tile 16 bytes — rows 0..3 x 4 k-bytes. Zero padding (past
 // kc, jn or im) contributes exact zero products, so ragged edges need
 // no special casing in the kernels.
-struct MicroKernelI {
-  void (*fn)(std::size_t quads, const std::uint8_t* __restrict packed_b,
-             const std::int8_t* __restrict packed_a,
-             std::int32_t* __restrict acc);
-};
-
 void micro_kernel_4x16_portable(std::size_t quads,
-                                const std::uint8_t* __restrict pb,
                                 const std::int8_t* __restrict pa,
+                                const std::uint8_t* __restrict pb,
                                 std::int32_t* __restrict acc) {
   std::memset(acc, 0, kMr * kNr * sizeof(std::int32_t));
   for (std::size_t q = 0; q < quads; ++q) {
@@ -71,8 +61,8 @@ void micro_kernel_4x16_portable(std::size_t quads,
 // saturation occurs and the kernel is exact) and madd-by-ones to widen
 // the pairs into the int32 accumulators.
 __attribute__((target("avx2"))) void micro_kernel_4x16_avx2(
-    std::size_t quads, const std::uint8_t* __restrict pb,
-    const std::int8_t* __restrict pa, std::int32_t* __restrict acc) {
+    std::size_t quads, const std::int8_t* __restrict pa,
+    const std::uint8_t* __restrict pb, std::int32_t* __restrict acc) {
   const __m256i ones = _mm256_set1_epi16(1);
   __m256i c0[4];
   __m256i c1[4];
@@ -108,95 +98,85 @@ __attribute__((target("avx2"))) void micro_kernel_4x16_avx2(
 }
 #endif  // GPUCNN_X86_SIMD
 
-MicroKernelI select_micro_kernel() {
-#if GPUCNN_X86_SIMD
-  if (simd::active() == simd::Level::kAvx2) {
-    return {micro_kernel_4x16_avx2};
-  }
-#endif
-  return {micro_kernel_4x16_portable};
-}
-
 obs::Counter& igemm_calls_counter() {
   static obs::Counter& c = obs::metrics().counter("blas.igemm.calls");
   return c;
 }
 
-// Packing traffic split by operand: A carries the quantized weights,
-// B the quantized activations (see the header's operand convention), so
-// the split separates prepack-avoidable weight packing from per-call
-// activation packing.
-obs::Counter& igemm_bytes_packed_a_counter() {
-  static obs::Counter& c =
-      obs::metrics().counter("blas.igemm.bytes_packed_a");
-  return c;
-}
+// The int8 family of the blocked loop nest (blas/blocked.hpp). A holds
+// the quantized weights, B the quantized activations (see the header's
+// operand convention); neither is ever transposed.
+struct Igemm {
+  using A = std::int8_t;
+  using B = std::uint8_t;
+  using Acc = std::int32_t;
+  static constexpr const char* kName = "igemm";
+  // kKc is a multiple of 4, kMc of kMr. There is no column window: one
+  // B panel spans all of n.
+  static constexpr std::size_t kMc = 96;
+  static constexpr std::size_t kKc = 1536;
+  static constexpr std::size_t kNc = std::numeric_limits<std::size_t>::max();
+  static constexpr std::size_t kStepK = 4;
+  static constexpr std::size_t kMaxTile = kMr * kNr;
 
-obs::Counter& igemm_bytes_packed_b_counter() {
-  static obs::Counter& c =
-      obs::metrics().counter("blas.igemm.bytes_packed_b");
-  return c;
-}
+  static MicroKernel<std::int8_t, std::uint8_t, std::int32_t> kernel() {
+#if GPUCNN_X86_SIMD
+    if (simd::active() == simd::Level::kAvx2) {
+      return {kMr, kNr, micro_kernel_4x16_avx2};
+    }
+#endif
+    return {kMr, kNr, micro_kernel_4x16_portable};
+  }
 
-obs::Counter& igemm_prepack_hits_counter() {
-  static obs::Counter& c =
-      obs::metrics().counter("blas.igemm.prepack_hits");
-  return c;
-}
-
-obs::Counter& igemm_prepack_bytes_counter() {
-  static obs::Counter& c =
-      obs::metrics().counter("blas.igemm.prepack_bytes");
-  return c;
-}
-
-// Packs a kc x jn slice of B at (p0, j0) into one quad-layout tile.
-void pack_b_tile(std::span<const std::uint8_t> b, std::size_t ldb,
-                 std::size_t p0, std::size_t kc, std::size_t j0,
-                 std::size_t jn, std::uint8_t* dst) {
-  const std::size_t quads = (kc + 3) / 4;
-  for (std::size_t q = 0; q < quads; ++q) {
-    std::uint8_t* out = dst + q * 64;
-    // Full interior tile: interleave four B rows branch-free (the hot
-    // case — ragged k or n edges fall through to the guarded loop).
-    if (jn == kNr && q * 4 + 4 <= kc) {
-      const std::uint8_t* row = &b[(p0 + q * 4) * ldb + j0];
-#pragma GCC unroll 4
-      for (std::size_t t = 0; t < 4; ++t, row += ldb) {
-        for (std::size_t j = 0; j < 8; ++j) out[j * 4 + t] = row[j];
-        for (std::size_t j = 8; j < 16; ++j) {
-          out[32 + (j - 8) * 4 + t] = row[j];
+  // Packs an im x kc slice of A at (i0, p0) into one quad-layout tile.
+  static void pack_a(Operand<std::int8_t> a, std::size_t i0,
+                     std::size_t im, std::size_t p0, std::size_t kc,
+                     std::size_t /*mr*/, std::int8_t* dst) {
+    const std::size_t quads = (kc + 3) / 4;
+    for (std::size_t q = 0; q < quads; ++q) {
+      std::int8_t* out = dst + q * 16;
+      for (std::size_t i = 0; i < kMr; ++i) {
+        for (std::size_t t = 0; t < 4; ++t) {
+          const std::size_t p = q * 4 + t;
+          out[i * 4 + t] = (i < im && p < kc)
+                               ? a.data[(i0 + i) * a.ld + p0 + p]
+                               : std::int8_t{0};
         }
       }
-      continue;
-    }
-    for (std::size_t j = 0; j < kNr; ++j) {
-      std::uint8_t* cell = out + (j < 8 ? j * 4 : 32 + (j - 8) * 4);
-      for (std::size_t t = 0; t < 4; ++t) {
-        const std::size_t p = q * 4 + t;
-        cell[t] = (j < jn && p < kc) ? b[(p0 + p) * ldb + j0 + j]
-                                     : std::uint8_t{0};
-      }
     }
   }
-}
 
-// Packs an im x kc slice of A at (i0, p0) into one quad-layout tile.
-void pack_a_tile(std::span<const std::int8_t> a, std::size_t lda,
-                 std::size_t i0, std::size_t im, std::size_t p0,
-                 std::size_t kc, std::int8_t* dst) {
-  const std::size_t quads = (kc + 3) / 4;
-  for (std::size_t q = 0; q < quads; ++q) {
-    std::int8_t* out = dst + q * 16;
-    for (std::size_t i = 0; i < kMr; ++i) {
-      for (std::size_t t = 0; t < 4; ++t) {
-        const std::size_t p = q * 4 + t;
-        out[i * 4 + t] = (i < im && p < kc) ? a[(i0 + i) * lda + p0 + p]
-                                            : std::int8_t{0};
+  // Packs a kc x jn slice of B at (p0, j0) into one quad-layout tile.
+  static void pack_b(Operand<std::uint8_t> b, std::size_t p0,
+                     std::size_t kc, std::size_t j0, std::size_t jn,
+                     std::size_t /*nr*/, std::uint8_t* dst) {
+    const std::size_t quads = (kc + 3) / 4;
+    for (std::size_t q = 0; q < quads; ++q) {
+      std::uint8_t* out = dst + q * 64;
+      // Full interior tile: interleave four B rows branch-free (the hot
+      // case — ragged k or n edges fall through to the guarded loop).
+      if (jn == kNr && q * 4 + 4 <= kc) {
+        const std::uint8_t* row = &b.data[(p0 + q * 4) * b.ld + j0];
+#pragma GCC unroll 4
+        for (std::size_t t = 0; t < 4; ++t, row += b.ld) {
+          for (std::size_t j = 0; j < 8; ++j) out[j * 4 + t] = row[j];
+          for (std::size_t j = 8; j < 16; ++j) {
+            out[32 + (j - 8) * 4 + t] = row[j];
+          }
+        }
+        continue;
+      }
+      for (std::size_t j = 0; j < kNr; ++j) {
+        std::uint8_t* cell = out + (j < 8 ? j * 4 : 32 + (j - 8) * 4);
+        for (std::size_t t = 0; t < 4; ++t) {
+          const std::size_t p = q * 4 + t;
+          cell[t] = (j < jn && p < kc) ? b.data[(p0 + p) * b.ld + j0 + j]
+                                       : std::uint8_t{0};
+        }
       }
     }
   }
-}
+};
 
 // Saturating uint8 re-quantization of one dequantized value. The clamp
 // compares in float space before any float->int conversion, so an
@@ -234,38 +214,73 @@ void write_final_row(const std::int32_t* acc, std::size_t jn,
   }
 }
 
-enum class OutKind { kS32, kF32, kU8 };
+// The int8 write-back of one micro tile, by output element type. Raw
+// int32 output accumulates straight into C. For f32/u8 output, a k that
+// spans several blocks stages its partial sums in `staging` (m x n, row
+// stride n) and the last block folds them into the tile before the
+// epilogue — so the int32 never round-trips through an intermediate
+// matrix on the single-block path.
+template <typename Out>
+struct IgemmWrite {
+  Out* c;
+  std::size_t ldc;
+  const QEpilogue* ep;
+  std::int32_t* staging;  // null unless k spans several blocks
+  std::size_t n;
 
-struct OutPtr {
-  std::int32_t* s32 = nullptr;
-  float* f32 = nullptr;
-  std::uint8_t* u8 = nullptr;
+  void operator()(std::int32_t* acc, std::size_t nr, std::size_t i0,
+                  std::size_t im, std::size_t j0, std::size_t jn,
+                  bool first_k, bool last_k) const {
+    if constexpr (std::is_same_v<Out, std::int32_t>) {
+      for (std::size_t i = 0; i < im; ++i) {
+        std::int32_t* crow = c + (i0 + i) * ldc + j0;
+        const std::int32_t* accrow = acc + i * nr;
+        if (first_k) {
+          for (std::size_t j = 0; j < jn; ++j) crow[j] = accrow[j];
+        } else {
+          for (std::size_t j = 0; j < jn; ++j) crow[j] += accrow[j];
+        }
+      }
+    } else {
+      if (!last_k) {
+        for (std::size_t i = 0; i < im; ++i) {
+          std::int32_t* srow = staging + (i0 + i) * n + j0;
+          const std::int32_t* accrow = acc + i * nr;
+          if (first_k) {
+            for (std::size_t j = 0; j < jn; ++j) srow[j] = accrow[j];
+          } else {
+            for (std::size_t j = 0; j < jn; ++j) srow[j] += accrow[j];
+          }
+        }
+        return;
+      }
+      if (!first_k) {
+        for (std::size_t i = 0; i < im; ++i) {
+          const std::int32_t* srow = staging + (i0 + i) * n + j0;
+          std::int32_t* accrow = acc + i * nr;
+          for (std::size_t j = 0; j < jn; ++j) accrow[j] += srow[j];
+        }
+      }
+      for (std::size_t i = 0; i < im; ++i) {
+        write_final_row(acc + i * nr, jn, i0 + i, *ep,
+                        c + (i0 + i) * ldc + j0);
+      }
+    }
+  }
 };
 
-template <typename OutT>
-OutT* out_row(const OutPtr& c, std::size_t ldc, std::size_t i,
-              std::size_t j) {
-  if constexpr (std::is_same_v<OutT, float>) {
-    return c.f32 + i * ldc + j;
-  } else {
-    return c.u8 + i * ldc + j;
-  }
-}
-
-// `pa` (optional) supplies prepacked weight quad tiles; a pack that no
-// longer matches the call (SIMD switch, different dims) is demoted to
-// staged packing over the same `a` span, keeping one code shape per
-// call so prepacked results are bit-exact by construction.
-void igemm_driver(std::size_t m, std::size_t n, std::size_t k,
-                  std::span<const std::int8_t> a, std::size_t lda,
-                  std::span<const std::uint8_t> b, std::size_t ldb,
-                  const QEpilogue* ep, OutKind kind, OutPtr c,
-                  std::size_t ldc, const PackedMatrixI8* pa = nullptr) {
+// One int8 GEMM into C of element type Out; `ep` is null for raw int32.
+template <typename Out>
+void igemm_into(std::size_t m, std::size_t n, std::size_t k,
+                std::span<const std::int8_t> a, std::size_t lda,
+                std::span<const std::uint8_t> b, std::size_t ldb,
+                const QEpilogue* ep, std::span<Out> c, std::size_t ldc,
+                const PackedMatrixI8* packed) {
+  constexpr bool kRaw = std::is_same_v<Out, std::int32_t>;
   if (m == 0 || n == 0) return;
   check(k <= kMaxIgemmK, "igemm k exceeds the int32 accumulator bound");
-  if (kind != OutKind::kS32) {
-    check(ep != nullptr && ep->scales != nullptr,
-          "igemm epilogue requires per-row scales");
+  if constexpr (!kRaw) {
+    check(ep->scales != nullptr, "igemm epilogue requires per-row scales");
   }
   igemm_calls_counter().add(1);
 
@@ -273,14 +288,10 @@ void igemm_driver(std::size_t m, std::size_t n, std::size_t k,
   if (k == 0) {
     ws::Scratch<std::int32_t> zero(n, /*zero=*/true);
     for (std::size_t i = 0; i < m; ++i) {
-      if (kind == OutKind::kS32) {
-        std::memset(c.s32 + i * ldc, 0, n * sizeof(std::int32_t));
-      } else if (kind == OutKind::kF32) {
-        write_final_row(zero.data(), n, i, *ep,
-                        out_row<float>(c, ldc, i, 0));
+      if constexpr (kRaw) {
+        std::memset(c.data() + i * ldc, 0, n * sizeof(std::int32_t));
       } else {
-        write_final_row(zero.data(), n, i, *ep,
-                        out_row<std::uint8_t>(c, ldc, i, 0));
+        write_final_row(zero.data(), n, i, *ep, c.data() + i * ldc);
       }
     }
     return;
@@ -290,141 +301,24 @@ void igemm_driver(std::size_t m, std::size_t n, std::size_t k,
   // naive reduction (into scratch when the output is not int32).
   if (static_cast<double>(m) * static_cast<double>(n) *
           static_cast<double>(k) < 64.0 * 64.0 * 64.0) {
-    if (kind == OutKind::kS32) {
-      igemm_s32_naive(m, n, k, a, lda, b, ldb,
-                      {c.s32, (m - 1) * ldc + n}, ldc);
-      return;
-    }
-    ws::Scratch<std::int32_t> tmp(m * n);
-    igemm_s32_naive(m, n, k, a, lda, b, ldb, tmp.span(), n);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (kind == OutKind::kF32) {
-        write_final_row(tmp.data() + i * n, n, i, *ep,
-                        out_row<float>(c, ldc, i, 0));
-      } else {
-        write_final_row(tmp.data() + i * n, n, i, *ep,
-                        out_row<std::uint8_t>(c, ldc, i, 0));
+    if constexpr (kRaw) {
+      igemm_s32_naive(m, n, k, a, lda, b, ldb, c, ldc);
+    } else {
+      ws::Scratch<std::int32_t> tmp(m * n);
+      igemm_s32_naive(m, n, k, a, lda, b, ldb, tmp.span(), n);
+      for (std::size_t i = 0; i < m; ++i) {
+        write_final_row(tmp.data() + i * n, n, i, *ep, c.data() + i * ldc);
       }
     }
     return;
   }
 
-  const MicroKernelI uk = select_micro_kernel();
-  if (pa != nullptr && !(pa->valid() && pa->rows() == m &&
-                         pa->cols() == k && pa->kc_block() == kKcI)) {
-    pa = nullptr;
-  }
-  if (pa != nullptr) igemm_prepack_hits_counter().add(1);
-  const std::size_t a_tiles_total = (m + kMr - 1) / kMr;
-  const bool multi_k = k > kKcI;
-  // Multi-block reductions stage partial int32 sums (m x n, row stride
-  // n); raw-int32 output accumulates straight into C instead.
   std::optional<ws::Scratch<std::int32_t>> staging;
-  if (multi_k && kind != OutKind::kS32) staging.emplace(m * n);
-
-  for (std::size_t pc = 0; pc < k; pc += kKcI) {
-    const std::size_t kc = std::min(kKcI, k - pc);
-    const std::size_t quads = (kc + 3) / 4;
-    const bool first = pc == 0;
-    const bool last = pc + kc == k;
-
-    const std::size_t n_tiles = (n + kNr - 1) / kNr;
-    ws::Scratch<std::uint8_t> packed_b(n_tiles * quads * 64);
-    std::uint8_t* pb = packed_b.data();
-    parallel_for(
-        0, n_tiles,
-        [&](std::size_t t) {
-          const std::size_t j0 = t * kNr;
-          pack_b_tile(b, ldb, pc, kc, j0, std::min(kNr, n - j0),
-                      pb + t * quads * 64);
-        },
-        /*serial_threshold=*/8);
-    igemm_bytes_packed_b_counter().add(
-        static_cast<std::int64_t>(n_tiles * quads * 64));
-
-    const std::size_t m_blocks = (m + kMcI - 1) / kMcI;
-    parallel_for(0, m_blocks, [&](std::size_t block) {
-      const std::size_t ic = block * kMcI;
-      const std::size_t mc = std::min(kMcI, m - ic);
-      const std::size_t m_tiles = (mc + kMr - 1) / kMr;
-      ws::Scratch<std::int8_t> packed_a(
-          pa == nullptr ? m_tiles * quads * 16 : 0);
-      const std::int8_t* pa_tiles = nullptr;
-      if (pa == nullptr) {
-        for (std::size_t t = 0; t < m_tiles; ++t) {
-          const std::size_t i0 = ic + t * kMr;
-          pack_a_tile(a, lda, i0, std::min(kMr, m - i0), pc, kc,
-                      packed_a.data() + t * quads * 16);
-        }
-        igemm_bytes_packed_a_counter().add(
-            static_cast<std::int64_t>(m_tiles * quads * 16));
-        pa_tiles = packed_a.data();
-      } else {
-        pa_tiles = pa->data() +
-                   (pc / kKcI) * a_tiles_total * (kKcI / 4) * 16 +
-                   (ic / kMr) * quads * 16;
-      }
-      alignas(64) std::int32_t acc[kMr * kNr];
-      for (std::size_t ti = 0; ti < m_tiles; ++ti) {
-        const std::size_t i0 = ic + ti * kMr;
-        const std::size_t im = std::min(kMr, m - i0);
-        for (std::size_t tj = 0; tj < n_tiles; ++tj) {
-          const std::size_t j0 = tj * kNr;
-          const std::size_t jn = std::min(kNr, n - j0);
-          uk.fn(quads, pb + tj * quads * 64, pa_tiles + ti * quads * 16,
-                acc);
-
-          if (kind == OutKind::kS32) {
-            for (std::size_t i = 0; i < im; ++i) {
-              std::int32_t* crow = c.s32 + (i0 + i) * ldc + j0;
-              const std::int32_t* accrow = acc + i * kNr;
-              if (first) {
-                for (std::size_t j = 0; j < jn; ++j) crow[j] = accrow[j];
-              } else {
-                for (std::size_t j = 0; j < jn; ++j) crow[j] += accrow[j];
-              }
-            }
-            continue;
-          }
-
-          if (multi_k && !last) {
-            for (std::size_t i = 0; i < im; ++i) {
-              std::int32_t* srow = staging->data() + (i0 + i) * n + j0;
-              const std::int32_t* accrow = acc + i * kNr;
-              if (first) {
-                for (std::size_t j = 0; j < jn; ++j) srow[j] = accrow[j];
-              } else {
-                for (std::size_t j = 0; j < jn; ++j) srow[j] += accrow[j];
-              }
-            }
-            continue;
-          }
-
-          // Final k block: fold staged partials into the registers'
-          // spill tile, then dequantize / bias / ReLU / (re-)quantize
-          // straight to the output — the int32 never round-trips
-          // through an intermediate matrix on the single-block path.
-          if (multi_k && !first) {
-            for (std::size_t i = 0; i < im; ++i) {
-              const std::int32_t* srow =
-                  staging->data() + (i0 + i) * n + j0;
-              std::int32_t* accrow = acc + i * kNr;
-              for (std::size_t j = 0; j < jn; ++j) accrow[j] += srow[j];
-            }
-          }
-          for (std::size_t i = 0; i < im; ++i) {
-            if (kind == OutKind::kF32) {
-              write_final_row(acc + i * kNr, jn, i0 + i, *ep,
-                              out_row<float>(c, ldc, i0 + i, j0));
-            } else {
-              write_final_row(acc + i * kNr, jn, i0 + i, *ep,
-                              out_row<std::uint8_t>(c, ldc, i0 + i, j0));
-            }
-          }
-        }
-      }
-    });
-  }
+  if (!kRaw && k > Igemm::kKc) staging.emplace(m * n);
+  run_blocked<Igemm>(
+      m, n, k, {a, lda}, {b, ldb}, packed, nullptr,
+      IgemmWrite<Out>{c.data(), ldc, ep,
+                      staging ? staging->data() : nullptr, n});
 }
 
 }  // namespace
@@ -449,109 +343,38 @@ void igemm_s32_naive(std::size_t m, std::size_t n, std::size_t k,
 void igemm_s32(std::size_t m, std::size_t n, std::size_t k,
                std::span<const std::int8_t> a, std::size_t lda,
                std::span<const std::uint8_t> b, std::size_t ldb,
-               std::span<std::int32_t> c, std::size_t ldc) {
-  OutPtr out;
-  out.s32 = c.data();
-  igemm_driver(m, n, k, a, lda, b, ldb, nullptr, OutKind::kS32, out, ldc);
+               std::span<std::int32_t> c, std::size_t ldc,
+               const PackedMatrixI8* packed) {
+  igemm_into(m, n, k, a, lda, b, ldb, nullptr, c, ldc, packed);
 }
 
 void igemm(std::size_t m, std::size_t n, std::size_t k,
            std::span<const std::int8_t> a, std::size_t lda,
            std::span<const std::uint8_t> b, std::size_t ldb,
-           const QEpilogue& ep, std::span<float> c, std::size_t ldc) {
+           const QEpilogue& ep, std::span<float> c, std::size_t ldc,
+           const PackedMatrixI8* packed) {
   check(ep.out == QEpilogue::Out::kF32,
         "fp32-output igemm called with a uint8 epilogue");
-  OutPtr out;
-  out.f32 = c.data();
-  igemm_driver(m, n, k, a, lda, b, ldb, &ep, OutKind::kF32, out, ldc);
+  igemm_into(m, n, k, a, lda, b, ldb, &ep, c, ldc, packed);
 }
 
 void igemm(std::size_t m, std::size_t n, std::size_t k,
            std::span<const std::int8_t> a, std::size_t lda,
            std::span<const std::uint8_t> b, std::size_t ldb,
-           const QEpilogue& ep, std::span<std::uint8_t> c,
-           std::size_t ldc) {
+           const QEpilogue& ep, std::span<std::uint8_t> c, std::size_t ldc,
+           const PackedMatrixI8* packed) {
   check(ep.out == QEpilogue::Out::kU8,
         "uint8-output igemm called with an fp32 epilogue");
   check(std::isfinite(ep.out_scale) && ep.out_scale > 0.0F,
         "uint8 epilogue needs a positive finite output scale");
   check(ep.out_zero_point >= 0 && ep.out_zero_point <= 255,
         "uint8 epilogue zero point must lie in [0, 255]");
-  OutPtr out;
-  out.u8 = c.data();
-  igemm_driver(m, n, k, a, lda, b, ldb, &ep, OutKind::kU8, out, ldc);
+  igemm_into(m, n, k, a, lda, b, ldb, &ep, c, ldc, packed);
 }
 
 PackedMatrixI8 pack_a_i8(std::size_t m, std::size_t k,
                          std::span<const std::int8_t> a, std::size_t lda) {
-  PackedMatrixI8 p;
-  p.rows_ = m;
-  p.cols_ = k;
-  p.origin_ = a;
-  p.origin_ld_ = lda;
-  if (m == 0 || k == 0) return p;
-  p.level_ = simd::active();
-  p.kc_block_ = kKcI;
-  const std::size_t tiles = (m + kMr - 1) / kMr;
-  std::size_t total = 0;
-  for (std::size_t pc = 0; pc < k; pc += kKcI) {
-    const std::size_t kc = std::min(kKcI, k - pc);
-    total += tiles * ((kc + 3) / 4) * 16;
-  }
-  p.data_.resize(total);
-  for (std::size_t pc = 0; pc < k; pc += kKcI) {
-    const std::size_t kc = std::min(kKcI, k - pc);
-    const std::size_t quads = (kc + 3) / 4;
-    std::int8_t* block =
-        p.data_.data() + (pc / kKcI) * tiles * (kKcI / 4) * 16;
-    for (std::size_t t = 0; t < tiles; ++t) {
-      const std::size_t i0 = t * kMr;
-      pack_a_tile(a, lda, i0, std::min(kMr, m - i0), pc, kc,
-                  block + t * quads * 16);
-    }
-  }
-  igemm_prepack_bytes_counter().add(static_cast<std::int64_t>(p.bytes()));
-  return p;
-}
-
-void igemm_prepacked(std::size_t m, std::size_t n, std::size_t k,
-                     const PackedMatrixI8& a,
-                     std::span<const std::uint8_t> b, std::size_t ldb,
-                     std::span<std::int32_t> c, std::size_t ldc) {
-  OutPtr out;
-  out.s32 = c.data();
-  igemm_driver(m, n, k, a.origin(), a.origin_ld(), b, ldb, nullptr,
-               OutKind::kS32, out, ldc, &a);
-}
-
-void igemm_prepacked(std::size_t m, std::size_t n, std::size_t k,
-                     const PackedMatrixI8& a,
-                     std::span<const std::uint8_t> b, std::size_t ldb,
-                     const QEpilogue& ep, std::span<float> c,
-                     std::size_t ldc) {
-  check(ep.out == QEpilogue::Out::kF32,
-        "fp32-output igemm called with a uint8 epilogue");
-  OutPtr out;
-  out.f32 = c.data();
-  igemm_driver(m, n, k, a.origin(), a.origin_ld(), b, ldb, &ep,
-               OutKind::kF32, out, ldc, &a);
-}
-
-void igemm_prepacked(std::size_t m, std::size_t n, std::size_t k,
-                     const PackedMatrixI8& a,
-                     std::span<const std::uint8_t> b, std::size_t ldb,
-                     const QEpilogue& ep, std::span<std::uint8_t> c,
-                     std::size_t ldc) {
-  check(ep.out == QEpilogue::Out::kU8,
-        "uint8-output igemm called with an fp32 epilogue");
-  check(std::isfinite(ep.out_scale) && ep.out_scale > 0.0F,
-        "uint8 epilogue needs a positive finite output scale");
-  check(ep.out_zero_point >= 0 && ep.out_zero_point <= 255,
-        "uint8 epilogue zero point must lie in [0, 255]");
-  OutPtr out;
-  out.u8 = c.data();
-  igemm_driver(m, n, k, a.origin(), a.origin_ld(), b, ldb, &ep,
-               OutKind::kU8, out, ldc, &a);
+  return detail::PackBuilder<Igemm>::build<PackRole::kA>(m, k, {a, lda});
 }
 
 }  // namespace gpucnn::blas

@@ -1,5 +1,6 @@
 // Int8 GEMM for the quantized inference path: C = A(s8) * B(u8) with
-// int32 accumulation, mirroring the fp32 sgemm next door.
+// int32 accumulation. It runs the fp32 sgemm's blocked loop nest
+// (blas/blocked.hpp) with its own tiles, packers and write-back.
 //
 // Operand convention (chosen to fit _mm256_maddubs_epi16, whose first
 // operand is unsigned and second signed):
@@ -20,6 +21,12 @@
 //   out   = sat_u8(round(real / out_scale) + out_zero_point)  (Out::kU8)
 // applied in-register on the hot tile — there is no intermediate fp32
 // or int32 matrix in memory on the single-k-block path.
+//
+// Every blocked entry point takes an optional `packed` weight operand
+// (pack_a_i8 of this call's A, blas/packed.hpp) that replaces A's
+// per-call packing, bit-exactly. `a` stays required: the small-problem
+// path and a stale pack (SIMD dispatch changed since packing) stage
+// from it.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +34,11 @@
 #include <span>
 
 namespace gpucnn::blas {
+
+template <typename T>
+class Packed;
+/// Int8 weights packed once into quad tiles (blas/packed.hpp).
+using PackedMatrixI8 = Packed<std::int8_t>;
 
 /// Largest k an int8 GEMM may reduce over without risking int32
 /// accumulator overflow (255 * 63 * k < 2^31).
@@ -56,20 +68,23 @@ void igemm_s32_naive(std::size_t m, std::size_t n, std::size_t k,
 void igemm_s32(std::size_t m, std::size_t n, std::size_t k,
                std::span<const std::int8_t> a, std::size_t lda,
                std::span<const std::uint8_t> b, std::size_t ldb,
-               std::span<std::int32_t> c, std::size_t ldc);
+               std::span<std::int32_t> c, std::size_t ldc,
+               const PackedMatrixI8* packed = nullptr);
 
 /// Blocked int8 GEMM with the fused epilogue, fp32 output
 /// (ep.out must be Out::kF32).
 void igemm(std::size_t m, std::size_t n, std::size_t k,
            std::span<const std::int8_t> a, std::size_t lda,
            std::span<const std::uint8_t> b, std::size_t ldb,
-           const QEpilogue& ep, std::span<float> c, std::size_t ldc);
+           const QEpilogue& ep, std::span<float> c, std::size_t ldc,
+           const PackedMatrixI8* packed = nullptr);
 
 /// Blocked int8 GEMM with the fused epilogue, re-quantized uint8 output
 /// (ep.out must be Out::kU8).
 void igemm(std::size_t m, std::size_t n, std::size_t k,
            std::span<const std::int8_t> a, std::size_t lda,
            std::span<const std::uint8_t> b, std::size_t ldb,
-           const QEpilogue& ep, std::span<std::uint8_t> c, std::size_t ldc);
+           const QEpilogue& ep, std::span<std::uint8_t> c, std::size_t ldc,
+           const PackedMatrixI8* packed = nullptr);
 
 }  // namespace gpucnn::blas

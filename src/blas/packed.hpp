@@ -1,15 +1,17 @@
 // Persistent packed operands for pack-once / execute-many GEMMs.
 //
-// The blocked sgemm/igemm drivers re-pack their operands into
-// micro-kernel panels on every call. At inference the weights never
-// change, so that packing is pure waste (10–30% of small-batch GEMM
-// time). A PackedMatrix holds one operand's panels in exactly the
-// per-(k-block, tile) layout the staged driver produces, so a prepacked
-// call feeds the very same micro-kernels the very same bytes — results
-// are bit-identical to the staged path by construction, fused epilogue
-// included.
+// The blocked sgemm/igemm loop nest (blas/blocked.hpp) re-packs its
+// operands into micro-kernel panels on every call. At inference the
+// weights never change, so that packing is pure waste (10–30% of
+// small-batch GEMM time). A Packed<T> holds one operand's panels in
+// exactly the per-(k-block, tile) layout the loop nest stages — one
+// routine packs both — so a call handed the pack feeds the very same
+// micro-kernels the very same bytes: results are bit-identical to the
+// staged path by construction, fused epilogue included.
 //
-// Operand roles follow the call sites, not a fixed convention:
+// A pack rides the plain call (sgemm's, igemm_s32's or igemm's last
+// argument); its role says which operand it replaces. Operand roles
+// follow the call sites, not a fixed convention:
 //   * conv engines run W(F x CKK) * col — weights are operand A, packed
 //     in mr-row panels (pack_a);
 //   * FcLayer runs in * W^T — weights are operand B, packed in nr-column
@@ -20,10 +22,9 @@
 // Every pack records the SIMD level (and thus micro-tile shape) active
 // at pack time. If runtime dispatch changes — GPUCNN_SIMD, a test
 // override — the pack no longer matches the kernels that would run, so
-// the prepacked entry points detect the mismatch and transparently fall
-// back to the staged path over the retained origin span. The origin
-// span must outlive the pack (layers pack their own weight tensors,
-// which do).
+// the call ignores it and stages the operand it was passed alongside.
+// A pack keeps no reference to the values it was packed from; source()
+// only identifies them.
 //
 // Metrics (docs/METRICS.md): blas.{sgemm,igemm}.prepack_bytes count the
 // one-time pack traffic; blas.{sgemm,igemm}.prepack_hits count blocked
@@ -42,16 +43,23 @@
 
 namespace gpucnn::blas {
 
-/// One fp32 operand packed into micro-kernel panels (see file comment).
+/// Which GEMM operand a pack replaces.
+enum class PackRole { kA, kB };
+
+namespace detail {
+template <typename Family>
+struct PackBuilder;  // blas/blocked.hpp: the one routine that fills a pack
+}  // namespace detail
+
+/// One operand packed into micro-kernel panels (see file comment).
 /// Immutable after packing; safe to share across threads by const
 /// reference or shared_ptr.
-class PackedMatrix {
+template <typename T>
+class Packed {
  public:
-  enum class Role { kA, kB };
+  Packed() = default;
 
-  PackedMatrix() = default;
-
-  /// True when the pack holds data (pack_a / pack_b produced panels).
+  /// True when the pack holds data (the operand was non-empty).
   [[nodiscard]] bool packed() const { return !data_.empty(); }
   /// True when the pack matches the SIMD level currently dispatched —
   /// a stale pack is skipped, not consumed.
@@ -59,45 +67,37 @@ class PackedMatrix {
     return packed() && level_ == simd::active();
   }
 
-  [[nodiscard]] Role role() const { return role_; }
+  [[nodiscard]] PackRole role() const { return role_; }
   /// Logical operand dimensions: op(A) is rows x cols = m x k, op(B) is
   /// k x n with rows = k, cols = n.
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
-  [[nodiscard]] std::size_t bytes() const {
-    return data_.size() * sizeof(float);
-  }
+  [[nodiscard]] std::size_t bytes() const { return data_.size() * sizeof(T); }
 
   [[nodiscard]] simd::Level level() const { return level_; }
   /// Micro-tile edge the panels were packed for (mr for A, nr for B).
   [[nodiscard]] std::size_t tile() const { return tile_; }
-  /// k-blocking the panels use (the driver's KC at pack time).
+  /// k-blocking the panels use (the loop nest's KC at pack time).
   [[nodiscard]] std::size_t kc_block() const { return kc_block_; }
+  /// First element of the operand the pack was built from: an identity
+  /// for owners telling their own pack from one of other values, never
+  /// dereferenced.
+  [[nodiscard]] const T* source() const { return source_; }
 
-  /// The unpacked operand the pack was built from (staged/naive
-  /// fallback path); the caller guarantees its lifetime.
-  [[nodiscard]] Trans trans() const { return trans_; }
-  [[nodiscard]] std::span<const float> origin() const { return origin_; }
-  [[nodiscard]] std::size_t origin_ld() const { return origin_ld_; }
-
-  [[nodiscard]] const float* data() const { return data_.data(); }
+  [[nodiscard]] const T* data() const { return data_.data(); }
 
  private:
-  friend PackedMatrix pack_a(Trans, std::size_t, std::size_t,
-                             std::span<const float>, std::size_t);
-  friend PackedMatrix pack_b(Trans, std::size_t, std::size_t,
-                             std::span<const float>, std::size_t);
+  template <typename Family>
+  friend struct detail::PackBuilder;
 
-  Role role_ = Role::kA;
-  Trans trans_ = Trans::kNo;
+  PackRole role_ = PackRole::kA;
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   simd::Level level_ = simd::Level::kPortable;
   std::size_t tile_ = 0;
   std::size_t kc_block_ = 0;
-  std::vector<float, AlignedAllocator<float>> data_;
-  std::span<const float> origin_;
-  std::size_t origin_ld_ = 0;
+  const T* source_ = nullptr;
+  std::vector<T, AlignedAllocator<T>> data_;
 };
 
 /// Packs op(A) (logical m x k) into mr-row panels for the SIMD level
@@ -112,85 +112,10 @@ class PackedMatrix {
                                   std::size_t n, std::span<const float> b,
                                   std::size_t ldb);
 
-/// sgemm with a prepacked A operand (role kA, dims m x k). Bit-identical
-/// to sgemm(a.trans(), trans_b, ...) over a.origin(); falls back to that
-/// staged call when the pack is stale (SIMD switch) or mismatched.
-void sgemm_prepacked(std::size_t m, std::size_t n, std::size_t k,
-                     float alpha, const PackedMatrix& a, Trans trans_b,
-                     std::span<const float> b, std::size_t ldb, float beta,
-                     std::span<float> c, std::size_t ldc,
-                     const Epilogue& ep = {});
-
-/// sgemm with a prepacked B operand (role kB, dims k x n). Bit-identical
-/// to sgemm(trans_a, b.trans(), ...) over b.origin(); same fallback
-/// contract as the A overload.
-void sgemm_prepacked(Trans trans_a, std::size_t m, std::size_t n,
-                     std::size_t k, float alpha, std::span<const float> a,
-                     std::size_t lda, const PackedMatrix& b, float beta,
-                     std::span<float> c, std::size_t ldc,
-                     const Epilogue& ep = {});
-
-/// Int8 weights (igemm operand A) packed into maddubs quad tiles.
-class PackedMatrixI8 {
- public:
-  PackedMatrixI8() = default;
-
-  [[nodiscard]] bool packed() const { return !data_.empty(); }
-  [[nodiscard]] bool valid() const {
-    return packed() && level_ == simd::active();
-  }
-
-  [[nodiscard]] std::size_t rows() const { return rows_; }
-  [[nodiscard]] std::size_t cols() const { return cols_; }
-  [[nodiscard]] std::size_t bytes() const { return data_.size(); }
-  [[nodiscard]] simd::Level level() const { return level_; }
-  [[nodiscard]] std::size_t kc_block() const { return kc_block_; }
-
-  [[nodiscard]] std::span<const std::int8_t> origin() const {
-    return origin_;
-  }
-  [[nodiscard]] std::size_t origin_ld() const { return origin_ld_; }
-  [[nodiscard]] const std::int8_t* data() const { return data_.data(); }
-
- private:
-  friend PackedMatrixI8 pack_a_i8(std::size_t, std::size_t,
-                                  std::span<const std::int8_t>,
-                                  std::size_t);
-
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  simd::Level level_ = simd::Level::kPortable;
-  std::size_t kc_block_ = 0;
-  std::vector<std::int8_t, AlignedAllocator<std::int8_t>> data_;
-  std::span<const std::int8_t> origin_;
-  std::size_t origin_ld_ = 0;
-};
-
 /// Packs int8 weights A (row-major m x k, |a| <= quant::kWeightQMax)
 /// into quad tiles. Counts blas.igemm.prepack_bytes.
 [[nodiscard]] PackedMatrixI8 pack_a_i8(std::size_t m, std::size_t k,
                                        std::span<const std::int8_t> a,
                                        std::size_t lda);
-
-/// igemm_s32 with prepacked weights; bit-exact against igemm_s32 over
-/// a.origin(), with the same stale-pack fallback as sgemm_prepacked.
-void igemm_prepacked(std::size_t m, std::size_t n, std::size_t k,
-                     const PackedMatrixI8& a,
-                     std::span<const std::uint8_t> b, std::size_t ldb,
-                     std::span<std::int32_t> c, std::size_t ldc);
-
-/// Fused igemm with prepacked weights, fp32 output.
-void igemm_prepacked(std::size_t m, std::size_t n, std::size_t k,
-                     const PackedMatrixI8& a,
-                     std::span<const std::uint8_t> b, std::size_t ldb,
-                     const QEpilogue& ep, std::span<float> c,
-                     std::size_t ldc);
-
-/// Fused igemm with prepacked weights, re-quantized uint8 output.
-void igemm_prepacked(std::size_t m, std::size_t n, std::size_t k,
-                     const PackedMatrixI8& a,
-                     std::span<const std::uint8_t> b, std::size_t ldb,
-                     const QEpilogue& ep, std::span<std::uint8_t> c,
-                     std::size_t ldc);
 
 }  // namespace gpucnn::blas

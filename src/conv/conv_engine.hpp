@@ -32,10 +32,10 @@ enum class Strategy { kDirect, kUnrolling, kFft, kWinograd };
 /// consume as their A operand. Built by ConvEngine::prepack(); an engine
 /// consumes only the format its own prepack() builds, so a layer holds
 /// exactly the pack its forward engine reads. Immutable after
-/// construction and shared by shared_ptr across serving workers. Each
-/// panel retains a span over the values it was packed from — the
-/// caller's filter tensor, which must outlive the pack (the layer owns
-/// both), or `transformed` below.
+/// construction and shared by shared_ptr across serving workers. The
+/// panels keep no reference to the values they were packed from: the
+/// forward passes the filter tensor (or `transformed` below) alongside
+/// each panel, for blas to stage from when the pack is stale.
 struct PackedFilters {
   /// Name of the engine whose prepack() built this pack: the format tag
   /// an engine's forward checks before reading the panels.
@@ -45,21 +45,14 @@ struct PackedFilters {
   const float* source = nullptr;
   /// Weights pre-transformed by the engine (Winograd's U = G g G^T),
   /// owned here because the values exist nowhere else; empty when the
-  /// panels pack the filter tensor itself. Move-only: a copy would leave
-  /// the copied panels' origin spans pointing into the source's storage.
+  /// panels pack the filter tensor itself.
   std::vector<float> transformed;
   /// One panel per GEMM the forward runs: per group, or per Winograd
   /// tile position.
   std::vector<blas::PackedMatrix> panels;
 
-  PackedFilters() = default;
-  PackedFilters(PackedFilters&&) = default;
-  PackedFilters& operator=(PackedFilters&&) = default;
-  PackedFilters(const PackedFilters&) = delete;
-  PackedFilters& operator=(const PackedFilters&) = delete;
-
   /// True while the panels match the active SIMD dispatch; a stale pack
-  /// still computes correctly, but stages its origin on every call.
+  /// still computes correctly, but stages its operand on every call.
   [[nodiscard]] bool fresh() const {
     return !panels.empty() && panels.front().valid();
   }
@@ -70,6 +63,13 @@ struct PackedFilters {
     return total;
   }
 };
+
+/// Panel `i` of `packed` for a GEMM's pack argument; nullptr (stage the
+/// operand) when there is no pack.
+[[nodiscard]] inline const blas::PackedMatrix* panel(
+    const PackedFilters* packed, std::size_t i) {
+  return packed == nullptr ? nullptr : &packed->panels[i];
+}
 
 /// What a forward adds to the bare convolution: an optional per-filter
 /// bias (empty, or length cfg.filters) and ReLU clamp, applied as

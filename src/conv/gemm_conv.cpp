@@ -1,7 +1,5 @@
 #include "conv/gemm_conv.hpp"
 
-#include <atomic>
-
 #include "blas/gemm.hpp"
 #include "blas/packed.hpp"
 #include "conv/im2col.hpp"
@@ -23,8 +21,6 @@ ConvConfig group_view(const ConvConfig& cfg) {
   return g;
 }
 
-std::atomic<bool> g_pointwise_fast_path{true};
-
 // For a 1x1 stride-1 pad-0 convolution, im2col is the identity: the
 // column matrix is (C x OhOw) with OhOw == input^2 — exactly the input
 // plane block, same values, same leading dimension. The GEMMs can then
@@ -32,15 +28,10 @@ std::atomic<bool> g_pointwise_fast_path{true};
 // skipping the staging copy entirely (cuConv's observation: the
 // transform adds no locality on pointwise shapes).
 bool pointwise(const ConvConfig& cfg) {
-  return cfg.kernel == 1 && cfg.stride == 1 && cfg.pad == 0 &&
-         g_pointwise_fast_path.load(std::memory_order_relaxed);
+  return cfg.kernel == 1 && cfg.stride == 1 && cfg.pad == 0;
 }
 
 }  // namespace
-
-bool set_pointwise_fast_path(bool enabled) {
-  return g_pointwise_fast_path.exchange(enabled, std::memory_order_relaxed);
-}
 
 std::shared_ptr<const PackedFilters> pack_gemm_filters(
     std::string_view format, const ConvConfig& cfg, const Tensor& filters) {
@@ -91,17 +82,11 @@ void GemmConv::run_forward(const ConvConfig& cfg, const Tensor& input,
           .relu = epilogue.relu};
       const std::span<float> out{output.plane(n, g * gv.filters),
                                  gv.filters * cols};
-      if (packed != nullptr) {
-        // Weights come from the per-group pack; a stale or mismatched
-        // pack falls back to the staged path inside the driver.
-        blas::sgemm_prepacked(gv.filters, cols, ckk, 1.0F,
-                              packed->panels[g], Trans::kNo, b, cols, 0.0F,
-                              out, cols, ep);
-      } else {
-        blas::sgemm(Trans::kNo, Trans::kNo, gv.filters, cols, ckk, 1.0F,
-                    {filters.plane(g * gv.filters, 0), gv.filters * ckk},
-                    ckk, b, cols, 0.0F, out, cols, ep);
-      }
+      // A pack replaces the per-call weight packing; a stale one stages
+      // the filters instead, inside blas.
+      blas::sgemm(Trans::kNo, Trans::kNo, gv.filters, cols, ckk, 1.0F,
+                  {filters.plane(g * gv.filters, 0), gv.filters * ckk}, ckk,
+                  b, cols, 0.0F, out, cols, ep, panel(packed, g));
     }
   }
 }

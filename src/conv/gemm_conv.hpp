@@ -8,13 +8,6 @@
 
 namespace gpucnn::conv {
 
-/// Test hook: enables/disables the pointwise (1x1, stride 1, pad 0)
-/// im2col-skip fast path, returning the previous setting. The fast path
-/// is bit-identical to the staged path (the column matrix of a 1x1
-/// stride-1 convolution IS the input plane block), so tests flip this to
-/// compare the two; production code leaves it on.
-bool set_pointwise_fast_path(bool enabled);
-
 /// The GEMM engines' weight layout: per group, W_g (F_g x CKK) packed as
 /// the forward GEMM's A operand, tagged with the consuming engine's name.
 [[nodiscard]] std::shared_ptr<const PackedFilters> pack_gemm_filters(

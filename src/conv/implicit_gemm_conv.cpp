@@ -108,18 +108,11 @@ void ImplicitGemmConv::run_forward(const ConvConfig& cfg,
       // tile is reused across every filter — implicit GEMM's win. Bias
       // and ReLU land in the tile epilogue (rows are the filters), so
       // the copy-out below moves finished values.
-      if (packed != nullptr) {
-        blas::sgemm_prepacked(cfg.filters, cols, g.ckk, 1.0F,
-                              packed->panels[0], blas::Trans::kNo,
-                              {tile.data(), g.ckk * cols}, cols, 0.0F,
-                              {out_tile.data(), cfg.filters * cols}, cols,
-                              ep);
-      } else {
-        blas::sgemm(blas::Trans::kNo, blas::Trans::kNo, cfg.filters, cols,
-                    g.ckk, 1.0F, filters.data(), g.ckk,
-                    {tile.data(), g.ckk * cols}, cols, 0.0F,
-                    {out_tile.data(), cfg.filters * cols}, cols, ep);
-      }
+      blas::sgemm(blas::Trans::kNo, blas::Trans::kNo, cfg.filters, cols,
+                  g.ckk, 1.0F, filters.data(), g.ckk,
+                  {tile.data(), g.ckk * cols}, cols, 0.0F,
+                  {out_tile.data(), cfg.filters * cols}, cols, ep,
+                  panel(packed, 0));
       float* out_image = output.plane(n, 0);
       for (std::size_t f = 0; f < cfg.filters; ++f) {
         for (std::size_t j = 0; j < cols; ++j) {

@@ -25,6 +25,13 @@ ConvConfig group_view(const ConvConfig& cfg) {
   return g;
 }
 
+// Group `g`'s weight pack for igemm's pack argument; nullptr (stage the
+// quantized weights) when there is no pack.
+const blas::PackedMatrixI8* group_pack(const PackedQFilters* packed,
+                                       std::size_t g) {
+  return packed == nullptr ? nullptr : &packed->groups[g];
+}
+
 void validate_quantized_forward(const ConvConfig& cfg, const Tensor& input,
                                 const quant::QuantizedFilters& qw,
                                 const quant::ActQuant& aq,
@@ -195,15 +202,9 @@ void quantized_gemm_forward(const ConvConfig& cfg, const Tensor& input,
       ep.relu = relu;
       const std::span<float> out{output.plane(n, g * gv.filters),
                                  gv.filters * cols};
-      if (packed != nullptr) {
-        blas::igemm_prepacked(gv.filters, cols, ckk, packed->groups[g],
-                              col.span(), cols, ep, out, cols);
-      } else {
-        blas::igemm(gv.filters, cols, ckk,
-                    {qw.data.data() + g * gv.filters * ckk,
-                     gv.filters * ckk},
-                    ckk, col.span(), cols, ep, out, cols);
-      }
+      blas::igemm(gv.filters, cols, ckk,
+                  {qw.data.data() + g * gv.filters * ckk, gv.filters * ckk},
+                  ckk, col.span(), cols, ep, out, cols, group_pack(packed, g));
     }
   }
 }
@@ -245,16 +246,10 @@ void quantized_implicit_forward(const ConvConfig& cfg, const Tensor& input,
     for (std::size_t col0 = 0; col0 < positions; col0 += kTile) {
       const std::size_t cols = std::min(kTile, positions - col0);
       gather_tile_u8(cfg, image, pad_byte, col0, cols, tile.data());
-      if (packed != nullptr) {
-        blas::igemm_prepacked(cfg.filters, cols, ckk, packed->groups[0],
-                              {tile.data(), ckk * cols}, cols, ep,
-                              {out_tile.data(), cfg.filters * cols}, cols);
-      } else {
-        blas::igemm(cfg.filters, cols, ckk,
-                    {qw.data.data(), qw.data.size()}, ckk,
-                    {tile.data(), ckk * cols}, cols, ep,
-                    {out_tile.data(), cfg.filters * cols}, cols);
-      }
+      blas::igemm(cfg.filters, cols, ckk, {qw.data.data(), qw.data.size()},
+                  ckk, {tile.data(), ckk * cols}, cols, ep,
+                  {out_tile.data(), cfg.filters * cols}, cols,
+                  group_pack(packed, 0));
       for (std::size_t f = 0; f < cfg.filters; ++f) {
         for (std::size_t j = 0; j < cols; ++j) {
           out_image[f * positions + col0 + j] =

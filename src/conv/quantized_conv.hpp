@@ -21,9 +21,9 @@
 namespace gpucnn::conv {
 
 /// Quantized filters packed once into igemm quad tiles (blas/packed.hpp),
-/// one PackedMatrixI8 per group — the int8 twin of PackedFilters. Each
-/// pack retains a span over qw.data, which must outlive the pack (the
-/// layer owns both).
+/// one PackedMatrixI8 per group — the int8 twin of PackedFilters. The
+/// forwards pass qw alongside, for blas to stage from when a pack is
+/// stale.
 struct PackedQFilters {
   std::vector<blas::PackedMatrixI8> groups;
 

@@ -458,24 +458,18 @@ void scatter_grad_transform(const Geometry& g, WinogradTile tile,
 }
 
 /// The multiply stage: one (F x C) x (C x pb) sgemm per tile position,
-/// from prepacked panels when available.
+/// from the pack's panels when there is one.
 void multiply_stage(const Geometry& g, const float* u,
-                    const std::vector<blas::PackedMatrix>* panels,
-                    const float* v, float* m, std::size_t pb) {
+                    const PackedFilters* packed, const float* v, float* m,
+                    std::size_t pb) {
+  const std::size_t uplane = g.filters * g.channels;
   const std::size_t vplane = g.channels * g.block;
   const std::size_t mplane = g.filters * g.block;
   for (std::size_t t = 0; t < g.positions; ++t) {
-    const std::span<const float> vt{v + t * vplane, vplane};
-    const std::span<float> mt{m + t * mplane, mplane};
-    if (panels != nullptr) {
-      blas::sgemm_prepacked(g.filters, pb, g.channels, 1.0F, (*panels)[t],
-                            blas::Trans::kNo, vt, g.block, 0.0F, mt, g.block);
-    } else {
-      blas::sgemm(blas::Trans::kNo, blas::Trans::kNo, g.filters, pb,
-                  g.channels, 1.0F,
-                  {u + t * g.filters * g.channels, g.filters * g.channels},
-                  g.channels, vt, g.block, 0.0F, mt, g.block);
-    }
+    blas::sgemm(blas::Trans::kNo, blas::Trans::kNo, g.filters, pb,
+                g.channels, 1.0F, {u + t * uplane, uplane}, g.channels,
+                {v + t * vplane, vplane}, g.block, 0.0F,
+                {m + t * mplane, mplane}, g.block, {}, panel(packed, t));
   }
 }
 
@@ -489,24 +483,25 @@ void WinogradConv::run_forward(const ConvConfig& cfg, const Tensor& input,
   if (epilogue.packed != nullptr && (packed == nullptr || !packed->fresh())) {
     // Another engine's pack (GEMM panels, or the other tile size)
     // degrades to the transform-on-the-fly path; a stale own pack
-    // (SIMD dispatch changed since packing) makes sgemm_prepacked stage
-    // each panel's origin per call — correct, but the slow path.
+    // (SIMD dispatch changed since packing) makes sgemm stage the pack's
+    // U per call — correct, but the slow path.
     fallback_counter().add(1);
   }
-  const std::vector<blas::PackedMatrix>* panels =
-      packed != nullptr ? &packed->panels : nullptr;
   const float* bias = epilogue.bias.empty() ? nullptr : epilogue.bias.data();
   const Geometry g = make_geometry(cfg, tile_);
   ws::Scratch<float> v(g.positions * g.channels * g.block);
   ws::Scratch<float> m(g.positions * g.filters * g.block);
-  ws::Scratch<float> u(panels != nullptr
+  // U is the pack's own transformed filters, or transformed here.
+  ws::Scratch<float> u(packed != nullptr
                            ? 1
                            : g.positions * g.filters * g.channels);
-  if (panels == nullptr) transform_filters(g, tile_, filters, u.data());
+  if (packed == nullptr) transform_filters(g, tile_, filters, u.data());
+  const float* u_data =
+      packed != nullptr ? packed->transformed.data() : u.data();
   for (std::size_t p0 = 0; p0 < g.patches; p0 += g.block) {
     const std::size_t pb = std::min(g.block, g.patches - p0);
     scatter_data_transform(g, tile_, input, p0, pb, v.data());
-    multiply_stage(g, u.data(), panels, v.data(), m.data(), pb);
+    multiply_stage(g, u_data, packed, v.data(), m.data(), pb);
     gather_output_transform(g, tile_, m.data(), p0, pb, bias, epilogue.relu,
                             output);
   }

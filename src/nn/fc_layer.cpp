@@ -29,16 +29,12 @@ void FcLayer::forward(const Tensor& in, Tensor& out) {
   const TensorShape os = output_shape(in.shape());
   out.resize(os);
   const std::size_t n = in.shape().n;
-  // out(N x O) = in(N x I) * W^T(I x O)
-  if (!training_ && prepacked_ != nullptr) {
-    blas::sgemm_prepacked(Trans::kNo, n, out_features_, in_features_, 1.0F,
-                          in.data(), in_features_, *prepacked_, 0.0F,
-                          out.data(), out_features_);
-  } else {
-    blas::sgemm(Trans::kNo, Trans::kYes, n, out_features_, in_features_,
-                1.0F, in.data(), in_features_, weights_.data(),
-                in_features_, 0.0F, out.data(), out_features_);
-  }
+  // out(N x O) = in(N x I) * W^T(I x O); at inference the pack (if any)
+  // replaces W^T's per-call packing.
+  blas::sgemm(Trans::kNo, Trans::kYes, n, out_features_, in_features_, 1.0F,
+              in.data(), in_features_, weights_.data(), in_features_, 0.0F,
+              out.data(), out_features_, {},
+              training_ ? nullptr : prepacked_.get());
   blas::add_bias(out.data(), bias_.data(), n, out_features_, 1);
 }
 
@@ -46,7 +42,7 @@ void FcLayer::freeze_for_inference() {
   // Already holding a live pack of this very buffer (packed here
   // earlier, or adopted from the weight owner): keep sharing it.
   if (prepacked_ != nullptr && prepacked_->valid() &&
-      prepacked_->origin().data() == weights_.data().data()) {
+      prepacked_->source() == weights_.data().data()) {
     return;
   }
   prepacked_ = std::make_shared<const blas::PackedMatrix>(

@@ -53,7 +53,12 @@ void save_parameters(Network& net, const std::string& path) {
   save_parameters(net, os);
 }
 
-void load_parameters(Network& net, std::istream& is) {
+namespace {
+
+// Reads and validates one whole checkpoint without touching `net`, so a
+// rejected one leaves every weight and pack as it was.
+std::vector<std::vector<float>> stage_checkpoint(Network& net,
+                                                 std::istream& is) {
   // A quantized layer's int8 weights and calibrated activation range
   // derive from the fp32 weights a load would replace.
   for (std::size_t i = 0; i < net.size(); ++i) {
@@ -70,8 +75,6 @@ void load_parameters(Network& net, std::istream& is) {
   const auto count = read_pod<std::uint64_t>(is);
   check(count == params.size(),
         "checkpoint parameter-tensor count mismatch");
-  // Stage the whole checkpoint before touching the network, so a
-  // rejected one leaves every weight and pack as it was.
   std::vector<std::vector<float>> staged;
   staged.reserve(params.size());
   for (const Tensor* p : params) {
@@ -87,18 +90,35 @@ void load_parameters(Network& net, std::istream& is) {
             static_cast<std::streamsize>(values.size() * sizeof(float)));
     check(is.good(), "checkpoint truncated");
   }
-  // The weights are rewritten in place, so every pack built from them
-  // goes stale.
+  return staged;
+}
+
+// Writes a staged checkpoint into `net`. The weights are rewritten in
+// place, so every pack built from them goes stale.
+void commit_checkpoint(Network& net,
+                       const std::vector<std::vector<float>>& staged) {
   for (std::size_t i = 0; i < net.size(); ++i) net.layer(i).drop_prepack();
+  const auto params = net.parameters();
   for (std::size_t i = 0; i < params.size(); ++i) {
     std::copy(staged[i].begin(), staged[i].end(), params[i]->raw());
   }
 }
 
+}  // namespace
+
+void load_parameters(Network& net, std::istream& is) {
+  commit_checkpoint(net, stage_checkpoint(net, is));
+}
+
 void load_parameters(Network& net, const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   check(is.is_open(), "cannot open checkpoint for reading: " + path);
-  load_parameters(net, is);
+  const auto staged = stage_checkpoint(net, is);
+  // A checkpoint file holds exactly one checkpoint: bytes after its last
+  // tensor mean a corrupt or concatenated file.
+  check(is.peek() == std::char_traits<char>::eof(),
+        "checkpoint file has bytes after its last tensor: " + path);
+  commit_checkpoint(net, staged);
 }
 
 }  // namespace gpucnn::nn

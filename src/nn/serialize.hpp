@@ -23,7 +23,10 @@ void save_parameters(Network& net, const std::string& path);
 /// when the network holds quantized layers (their int8 weights derive
 /// from the weights a load would replace). The whole checkpoint is read
 /// and validated before anything is written, so a rejected load leaves
-/// the network's weights and packs untouched.
+/// the network's weights and packs untouched. The stream overload reads
+/// exactly one checkpoint and leaves any later bytes for the next reader;
+/// the file overload also rejects a file with bytes after its last
+/// tensor.
 void load_parameters(Network& net, std::istream& is);
 void load_parameters(Network& net, const std::string& path);
 

@@ -1,16 +1,20 @@
 // DepthwiseConv against the DirectConv oracle on all three passes, the
 // fused epilogue's bit-identity contract, GemmConv's pointwise (1x1)
-// im2col-skip fast path, and a seeded depthwise fuzz batch.
+// im2col-skip path against the staged im2col lowering, and a seeded
+// depthwise fuzz batch.
 #include "conv/depthwise_conv.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "analysis/conv_fuzz.hpp"
+#include "blas/gemm.hpp"
 #include "conv/direct_conv.hpp"
 #include "conv/gemm_conv.hpp"
+#include "conv/im2col.hpp"
 #include "core/rng.hpp"
 
 namespace gpucnn::conv {
@@ -146,18 +150,86 @@ TEST(DepthwiseSupports, OnlyDepthwiseDegenerateGroupings) {
                                .groups = 1}));
 }
 
-// RAII toggle so a failing assertion cannot leave the fast path off for
-// the rest of the test binary.
-struct FastPathGuard {
-  explicit FastPathGuard(bool on) : previous(set_pointwise_fast_path(on)) {}
-  ~FastPathGuard() { set_pointwise_fast_path(previous); }
-  bool previous;
-};
+// GemmConv's staged lowering spelled out, per image and group: im2col
+// then sgemm (bias + ReLU in its epilogue) forward, sgemm then col2im
+// backward-data, im2col then sgemm backward-filter.
+ConvConfig one_group(const ConvConfig& cfg) {
+  ConvConfig g = cfg;
+  g.channels = cfg.group_channels();
+  g.filters = cfg.group_filters();
+  g.groups = 1;
+  return g;
+}
+
+void staged_forward(const ConvConfig& cfg, const Tensor& x, const Tensor& w,
+                    std::span<const float> bias, bool relu, Tensor& y) {
+  const ConvConfig gv = one_group(cfg);
+  const std::size_t ckk = gv.channels * cfg.kernel * cfg.kernel;
+  const std::size_t cols = cfg.output() * cfg.output();
+  std::vector<float> col(col_buffer_size(gv));
+  for (std::size_t n = 0; n < cfg.batch; ++n) {
+    for (std::size_t g = 0; g < cfg.groups; ++g) {
+      im2col(gv,
+             {x.plane(n, g * gv.channels),
+              gv.channels * cfg.input * cfg.input},
+             col);
+      const blas::Epilogue ep{
+          .bias = bias.empty() ? nullptr : bias.data() + g * gv.filters,
+          .relu = relu};
+      blas::sgemm(blas::Trans::kNo, blas::Trans::kNo, gv.filters, cols, ckk,
+                  1.0F, {w.plane(g * gv.filters, 0), gv.filters * ckk}, ckk,
+                  col, cols, 0.0F,
+                  {y.plane(n, g * gv.filters), gv.filters * cols}, cols, ep);
+    }
+  }
+}
+
+void staged_backward_data(const ConvConfig& cfg, const Tensor& gout,
+                          const Tensor& w, Tensor& gx) {
+  const ConvConfig gv = one_group(cfg);
+  const std::size_t ckk = gv.channels * cfg.kernel * cfg.kernel;
+  const std::size_t cols = cfg.output() * cfg.output();
+  std::vector<float> col(col_buffer_size(gv));
+  gx.fill(0.0F);
+  for (std::size_t n = 0; n < cfg.batch; ++n) {
+    for (std::size_t g = 0; g < cfg.groups; ++g) {
+      blas::sgemm(blas::Trans::kYes, blas::Trans::kNo, ckk, cols, gv.filters,
+                  1.0F, {w.plane(g * gv.filters, 0), gv.filters * ckk}, ckk,
+                  {gout.plane(n, g * gv.filters), gv.filters * cols}, cols,
+                  0.0F, col, cols);
+      col2im(gv, col,
+             {gx.plane(n, g * gv.channels),
+              gv.channels * cfg.input * cfg.input});
+    }
+  }
+}
+
+void staged_backward_filter(const ConvConfig& cfg, const Tensor& x,
+                            const Tensor& gout, Tensor& gw) {
+  const ConvConfig gv = one_group(cfg);
+  const std::size_t ckk = gv.channels * cfg.kernel * cfg.kernel;
+  const std::size_t cols = cfg.output() * cfg.output();
+  std::vector<float> col(col_buffer_size(gv));
+  gw.fill(0.0F);
+  for (std::size_t n = 0; n < cfg.batch; ++n) {
+    for (std::size_t g = 0; g < cfg.groups; ++g) {
+      im2col(gv,
+             {x.plane(n, g * gv.channels),
+              gv.channels * cfg.input * cfg.input},
+             col);
+      blas::sgemm(blas::Trans::kNo, blas::Trans::kYes, gv.filters, ckk, cols,
+                  1.0F, {gout.plane(n, g * gv.filters), gv.filters * cols},
+                  cols, col, cols, 1.0F,
+                  {gw.plane(g * gv.filters, 0), gv.filters * ckk}, ckk);
+    }
+  }
+}
 
 TEST(PointwiseFastPath, BitIdenticalToIm2colOnAllPasses) {
   // On 1x1 stride-1 pad-0 shapes the column matrix IS the input plane
-  // block, so skipping im2col must be exactly bit-identical, not merely
-  // close — both paths feed the same operands to the same sgemm.
+  // block, so GemmConv skipping im2col must be exactly bit-identical to
+  // the staged lowering, not merely close — both feed the same operands
+  // to the same sgemm.
   const ConvConfig configs[] = {
       {.batch = 2, .input = 14, .channels = 8, .filters = 16, .kernel = 1,
        .stride = 1, .pad = 0, .groups = 1},
@@ -184,22 +256,15 @@ TEST(PointwiseFastPath, BitIdenticalToIm2colOnAllPasses) {
     Tensor slow_fused(cfg.output_shape());
     Tensor slow_gx(cfg.input_shape());
     Tensor slow_gw(cfg.filter_shape());
-    {
-      FastPathGuard guard(true);
-      engine.forward(cfg, x, w, fast_y);
-      ASSERT_NO_THROW(engine.forward(cfg, x, w, fast_fused,
-                                     {.bias = bias, .relu = true}));
-      engine.backward_data(cfg, gout, w, fast_gx);
-      engine.backward_filter(cfg, x, gout, fast_gw);
-    }
-    {
-      FastPathGuard guard(false);
-      engine.forward(cfg, x, w, slow_y);
-      ASSERT_NO_THROW(engine.forward(cfg, x, w, slow_fused,
-                                     {.bias = bias, .relu = true}));
-      engine.backward_data(cfg, gout, w, slow_gx);
-      engine.backward_filter(cfg, x, gout, slow_gw);
-    }
+    engine.forward(cfg, x, w, fast_y);
+    ASSERT_NO_THROW(engine.forward(cfg, x, w, fast_fused,
+                                   {.bias = bias, .relu = true}));
+    engine.backward_data(cfg, gout, w, fast_gx);
+    engine.backward_filter(cfg, x, gout, fast_gw);
+    staged_forward(cfg, x, w, {}, false, slow_y);
+    staged_forward(cfg, x, w, bias, true, slow_fused);
+    staged_backward_data(cfg, gout, w, slow_gx);
+    staged_backward_filter(cfg, x, gout, slow_gw);
     EXPECT_EQ(max_abs_diff(fast_y, slow_y), 0.0);
     EXPECT_EQ(max_abs_diff(fast_fused, slow_fused), 0.0);
     EXPECT_EQ(max_abs_diff(fast_gx, slow_gx), 0.0);

@@ -1,8 +1,8 @@
-// Prepacked GEMM (blas/packed.hpp): sgemm_prepacked / igemm_prepacked
-// must be bit-identical to the staged drivers — same micro-kernels, same
-// panel bytes, same write-back order — including the fused epilogues,
-// the naive small-problem fallback, and the stale-pack (SIMD switch)
-// fallback.
+// Prepacked GEMM (blas/packed.hpp): sgemm / igemm handed a pack must be
+// bit-identical to the same calls staging their operands — same
+// micro-kernels, same panel bytes, same write-back order — including the
+// fused epilogues, the naive small-problem fallback, and the stale-pack
+// (SIMD switch) fallback.
 #include "blas/packed.hpp"
 
 #include <gtest/gtest.h>
@@ -88,13 +88,13 @@ void run_fp32_case(const PrepackCase& pc) {
         c_staged, pc.n, ep);
 
   const PackedMatrix packed_a_mat = pack_a(pc.ta, pc.m, pc.k, a, lda);
-  sgemm_prepacked(pc.m, pc.n, pc.k, 1.0F, packed_a_mat, pc.tb, b, ldb,
-                  0.0F, c_pa, pc.n, ep);
+  sgemm(pc.ta, pc.tb, pc.m, pc.n, pc.k, 1.0F, a, lda, b, ldb, 0.0F, c_pa,
+        pc.n, ep, &packed_a_mat);
   expect_bitwise_equal(c_staged, c_pa);
 
   const PackedMatrix packed_b_mat = pack_b(pc.tb, pc.k, pc.n, b, ldb);
-  sgemm_prepacked(pc.ta, pc.m, pc.n, pc.k, 1.0F, a, lda, packed_b_mat,
-                  0.0F, c_pb, pc.n, ep);
+  sgemm(pc.ta, pc.tb, pc.m, pc.n, pc.k, 1.0F, a, lda, b, ldb, 0.0F, c_pb,
+        pc.n, ep, &packed_b_mat);
   expect_bitwise_equal(c_staged, c_pb);
 }
 
@@ -125,7 +125,8 @@ TEST(Prepack, AlphaBetaMatchStaged) {
   sgemm(Trans::kNo, Trans::kNo, m, n, k, 1.3F, a, k, b, n, 0.7F, c_staged,
         n);
   const PackedMatrix pa = pack_a(Trans::kNo, m, k, a, k);
-  sgemm_prepacked(m, n, k, 1.3F, pa, Trans::kNo, b, n, 0.7F, c_pre, n);
+  sgemm(Trans::kNo, Trans::kNo, m, n, k, 1.3F, a, k, b, n, 0.7F, c_pre, n,
+        {}, &pa);
   expect_bitwise_equal(c_staged, c_pre);
 }
 
@@ -152,7 +153,8 @@ TEST(Prepack, StalePackFallsBackBitIdentically) {
   std::vector<float> c_pre(m * n, 0.0F);
   sgemm(Trans::kNo, Trans::kNo, m, n, k, 1.0F, a, k, b, n, 0.0F, c_staged,
         n);
-  sgemm_prepacked(m, n, k, 1.0F, pa, Trans::kNo, b, n, 0.0F, c_pre, n);
+  sgemm(Trans::kNo, Trans::kNo, m, n, k, 1.0F, a, k, b, n, 0.0F, c_pre, n,
+        {}, &pa);
   expect_bitwise_equal(c_staged, c_pre);
 }
 
@@ -174,7 +176,8 @@ TEST(Prepack, HitsCountedAndWeightRepackingEliminated) {
   const auto hits0 = hits.value();
   const auto a0 = bytes_a.value();
   const auto b0 = bytes_b.value();
-  sgemm_prepacked(m, n, k, 1.0F, pa, Trans::kNo, b, n, 0.0F, c, n);
+  sgemm(Trans::kNo, Trans::kNo, m, n, k, 1.0F, a, k, b, n, 0.0F, c, n, {},
+        &pa);
   EXPECT_EQ(hits.value(), hits0 + 1);
   // The A (weight) operand came from the cache: zero A-packing traffic;
   // the B operand still packs per call.
@@ -218,7 +221,7 @@ void run_igemm_case(const IgemmCase& ic) {
   std::vector<std::int32_t> c_staged(ic.m * ic.n, -1);
   std::vector<std::int32_t> c_pre(ic.m * ic.n, -2);
   igemm_s32(ic.m, ic.n, ic.k, a, ic.k, b, ic.n, c_staged, ic.n);
-  igemm_prepacked(ic.m, ic.n, ic.k, pa, b, ic.n, c_pre, ic.n);
+  igemm_s32(ic.m, ic.n, ic.k, a, ic.k, b, ic.n, c_pre, ic.n, &pa);
   for (std::size_t i = 0; i < c_staged.size(); ++i) {
     ASSERT_EQ(c_staged[i], c_pre[i]) << "s32 element " << i;
   }
@@ -240,7 +243,7 @@ void run_igemm_case(const IgemmCase& ic) {
   std::vector<float> f_staged(ic.m * ic.n, -1.0F);
   std::vector<float> f_pre(ic.m * ic.n, -2.0F);
   igemm(ic.m, ic.n, ic.k, a, ic.k, b, ic.n, ep, f_staged, ic.n);
-  igemm_prepacked(ic.m, ic.n, ic.k, pa, b, ic.n, ep, f_pre, ic.n);
+  igemm(ic.m, ic.n, ic.k, a, ic.k, b, ic.n, ep, f_pre, ic.n, &pa);
   for (std::size_t i = 0; i < f_staged.size(); ++i) {
     ASSERT_EQ(f_staged[i], f_pre[i]) << "f32 element " << i;
   }
@@ -251,7 +254,7 @@ void run_igemm_case(const IgemmCase& ic) {
   std::vector<std::uint8_t> u_staged(ic.m * ic.n, 1);
   std::vector<std::uint8_t> u_pre(ic.m * ic.n, 2);
   igemm(ic.m, ic.n, ic.k, a, ic.k, b, ic.n, ep, u_staged, ic.n);
-  igemm_prepacked(ic.m, ic.n, ic.k, pa, b, ic.n, ep, u_pre, ic.n);
+  igemm(ic.m, ic.n, ic.k, a, ic.k, b, ic.n, ep, u_pre, ic.n, &pa);
   for (std::size_t i = 0; i < u_staged.size(); ++i) {
     ASSERT_EQ(u_staged[i], u_pre[i]) << "u8 element " << i;
   }
@@ -288,8 +291,34 @@ TEST(IgemmPrepack, StalePackFallsBackExactly) {
   std::vector<std::int32_t> c_staged(m * n);
   std::vector<std::int32_t> c_pre(m * n);
   igemm_s32(m, n, k, a, k, b, n, c_staged, n);
-  igemm_prepacked(m, n, k, pa, b, n, c_pre, n);
+  igemm_s32(m, n, k, a, k, b, n, c_pre, n, &pa);
   EXPECT_EQ(c_staged, c_pre);
+}
+
+TEST(IgemmPrepack, HitsCountedAndWeightRepackingEliminated) {
+  auto& m_reg = obs::metrics();
+  auto& hits = m_reg.counter("blas.igemm.prepack_hits");
+  auto& bytes_a = m_reg.counter("blas.igemm.bytes_packed_a");
+  auto& bytes_b = m_reg.counter("blas.igemm.bytes_packed_b");
+
+  Rng rng(13);
+  const std::size_t m = 64;
+  const std::size_t n = 96;
+  const std::size_t k = 128;
+  const auto a = random_weights(m * k, rng);
+  const auto b = random_acts(k * n, rng);
+  std::vector<std::int32_t> c(m * n);
+  const PackedMatrixI8 pa = pack_a_i8(m, k, a, k);
+
+  const auto hits0 = hits.value();
+  const auto a0 = bytes_a.value();
+  const auto b0 = bytes_b.value();
+  igemm_s32(m, n, k, a, k, b, n, c, n, &pa);
+  EXPECT_EQ(hits.value(), hits0 + 1);
+  // The A (weight) operand came from the cache: zero A-packing traffic;
+  // the B (activation) operand still packs per call.
+  EXPECT_EQ(bytes_a.value(), a0);
+  EXPECT_GT(bytes_b.value(), b0);
 }
 
 }  // namespace

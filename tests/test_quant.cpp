@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -11,6 +12,7 @@
 #include "blas/igemm.hpp"
 #include "core/cpu_features.hpp"
 #include "core/error.hpp"
+#include "obs/metrics.hpp"
 
 namespace gpucnn::quant {
 namespace {
@@ -212,6 +214,81 @@ void expect_igemm_matches_naive(std::size_t m, std::size_t n,
   EXPECT_EQ(got, expect) << m << "x" << n << "x" << k;
 }
 
+/// For m * n * k >= 64^3: each of the s32, f32 and u8 calls must take
+/// the blocked loop nest — it packs B, so blas.igemm.bytes_packed_b
+/// grows — not the naive small-problem fallback, and match
+/// igemm_s32_naive plus a hand-written epilogue.
+void expect_blocked_igemm_matches_naive(std::size_t m, std::size_t n,
+                                        std::size_t k, unsigned seed) {
+  ASSERT_GE(m * n * k, std::size_t{64 * 64 * 64});
+  std::vector<std::int8_t> a;
+  std::vector<std::uint8_t> b;
+  fill_random_operands(m, n, k, a, b, seed);
+  std::vector<std::int32_t> acc(m * n);
+  blas::igemm_s32_naive(m, n, k, a, k, b, n, acc, n);
+  const auto& packed_b = obs::metrics().counter("blas.igemm.bytes_packed_b");
+
+  std::vector<std::int32_t> s32(m * n, -1);
+  std::int64_t before = packed_b.value();
+  blas::igemm_s32(m, n, k, a, k, b, n, s32, n);
+  EXPECT_GT(packed_b.value(), before) << "s32 took the small-problem path";
+  EXPECT_EQ(s32, acc) << m << "x" << n << "x" << k;
+
+  std::vector<float> scales(m);
+  std::vector<std::int32_t> offsets(m);
+  std::vector<float> bias(m);
+  for (std::size_t r = 0; r < m; ++r) {
+    scales[r] = 1e-5F * static_cast<float>(1 + r % 3);
+    offsets[r] = static_cast<std::int32_t>(r * 13) - 40;
+    bias[r] = 0.25F * static_cast<float>(r % 5) - 0.5F;
+  }
+  blas::QEpilogue ep;
+  ep.scales = scales.data();
+  ep.row_offsets = offsets.data();
+  ep.bias = bias.data();
+  ep.relu = true;
+  const auto real = [&](std::size_t r, std::size_t j) {
+    const float v =
+        scales[r] * static_cast<float>(acc[r * n + j] - offsets[r]) +
+        bias[r];
+    return v < 0.0F ? 0.0F : v;
+  };
+
+  std::vector<float> f32(m * n, -1.0F);
+  before = packed_b.value();
+  blas::igemm(m, n, k, a, k, b, n, ep, f32, n);
+  EXPECT_GT(packed_b.value(), before) << "f32 took the small-problem path";
+  std::size_t f32_off = 0;
+  for (std::size_t i = 0; i < m * n; ++i) {
+    const float want = real(i / n, i % n);
+    const float ulps = 4 * std::numeric_limits<float>::epsilon();
+    if (std::abs(f32[i] - want) > ulps * std::max(1.0F, std::abs(want))) {
+      ++f32_off;
+    }
+  }
+  EXPECT_EQ(f32_off, 0U) << "f32 outputs off the oracle, " << m << "x" << n
+                         << "x" << k;
+
+  ep.out = blas::QEpilogue::Out::kU8;
+  ep.out_scale = 0.05F;
+  ep.out_zero_point = 3;
+  std::vector<std::uint8_t> u8(m * n, 1);
+  before = packed_b.value();
+  blas::igemm(m, n, k, a, k, b, n, ep, u8, n);
+  EXPECT_GT(packed_b.value(), before) << "u8 took the small-problem path";
+  std::size_t u8_off = 0;
+  for (std::size_t i = 0; i < m * n; ++i) {
+    const float q = std::round(real(i / n, i % n) / ep.out_scale) +
+                    static_cast<float>(ep.out_zero_point);
+    if (std::abs(static_cast<float>(u8[i]) - std::clamp(q, 0.0F, 255.0F)) >
+        1.0F) {
+      ++u8_off;
+    }
+  }
+  EXPECT_EQ(u8_off, 0U) << "u8 outputs off the oracle, " << m << "x" << n
+                        << "x" << k;
+}
+
 TEST(IgemmTest, MatchesNaiveOnMicroKernelMultiples) {
   expect_igemm_matches_naive(4, 16, 32, 1);
   expect_igemm_matches_naive(8, 32, 64, 2);
@@ -227,11 +304,17 @@ TEST(IgemmTest, MatchesNaiveOnRaggedEdges) {
 TEST(IgemmTest, MatchesNaiveAcrossKBlockBoundary) {
   // kKc is 1536: a k beyond it exercises the multi-block staging path.
   expect_igemm_matches_naive(5, 18, 1600, 8);
+  // 5x18x1600 falls under the 64^3 small-problem cut-off; these reach
+  // the blocked loop nest, the second with n past 2048 columns too.
+  expect_blocked_igemm_matches_naive(5, 40, 1600, 8);
+  expect_blocked_igemm_matches_naive(9, 2100, 1600, 13);
 }
 
 TEST(IgemmTest, MatchesNaiveAcrossMBlockBoundary) {
   // kMc is 96: an m beyond it exercises multiple row blocks.
   expect_igemm_matches_naive(100, 17, 40, 9);
+  // The same under the blocked loop nest, past the small-problem cut-off.
+  expect_blocked_igemm_matches_naive(100, 80, 40, 9);
 }
 
 TEST(IgemmTest, PortableAndActiveKernelsAgree) {
@@ -319,6 +402,9 @@ TEST(IgemmTest, EpilogueAppliesToAllKBlocksOnce) {
       EXPECT_FLOAT_EQ(c[r * n + j], want) << r << "," << j;
     }
   }
+  // 3x20x1700 falls under the 64^3 small-problem cut-off; this input
+  // reaches the blocked loop nest's staged partial sums, for f32 and u8.
+  expect_blocked_igemm_matches_naive(3, 60, 1700, 12);
 }
 
 }  // namespace

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/error.hpp"
@@ -273,6 +277,74 @@ TEST(Serialize, RejectedLoadKeepsAFrozenNetworksPacks) {
   EXPECT_EQ(conv.prepacked(), conv_pack);
   EXPECT_EQ(fc.prepacked(), fc_pack);
   EXPECT_EQ(max_abs_diff(net.forward(in), before), 0.0);
+}
+
+/// A path unique to the running test: ctest runs tests concurrently.
+std::string temp_path(std::string_view file) {
+  return ::testing::TempDir() +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + std::string(file);
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(os.good()) << path;
+}
+
+TEST(Serialize, FileWithBytesAfterItsLastTensorIsRejectedUntouched) {
+  auto net = frozen_net();
+  const auto& conv = dynamic_cast<const ConvLayer&>(net.layer(0));
+  const auto& fc = dynamic_cast<const FcLayer&>(net.layer(3));
+  const auto conv_pack = conv.prepacked();
+  const auto fc_pack = fc.prepacked();
+  ASSERT_NE(conv_pack, nullptr);
+  ASSERT_NE(fc_pack, nullptr);
+  const auto before = snapshot(net);
+
+  // One stray byte, and a whole second checkpoint: each file starts with
+  // a valid checkpoint of a differently seeded network.
+  const std::string checkpoint = packed_checkpoint(36);
+  const std::pair<std::string, std::string> files[] = {
+      {"one_extra_byte.bin", checkpoint + '\0'},
+      {"two_checkpoints.bin", checkpoint + packed_checkpoint(37)}};
+  for (const auto& [name, bytes] : files) {
+    const std::string path = temp_path(name);
+    write_file(path, bytes);
+    EXPECT_THROW(load_parameters(net, path), Error) << name;
+    EXPECT_EQ(snapshot(net), before) << name;
+    EXPECT_EQ(conv.prepacked(), conv_pack) << name;
+    EXPECT_EQ(fc.prepacked(), fc_pack) << name;
+    std::remove(path.c_str());
+  }
+
+  // The checkpoint alone loads from a file.
+  const std::string path = temp_path("exact.bin");
+  write_file(path, checkpoint);
+  EXPECT_NO_THROW(load_parameters(net, path));
+  EXPECT_NE(snapshot(net), before);
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, BackToBackCheckpointsLoadInSequenceFromOneStream) {
+  // The stream overload reads one checkpoint and leaves what follows for
+  // the next reader.
+  auto first = small_net();
+  Rng rng(7);
+  first.initialize(rng);
+  auto second = small_net();
+  Rng other(8);
+  second.initialize(other);
+  std::stringstream buf;
+  save_parameters(first, buf);
+  save_parameters(second, buf);
+
+  auto target = small_net();
+  load_parameters(target, buf);
+  EXPECT_EQ(snapshot(target), snapshot(first));
+  load_parameters(target, buf);
+  EXPECT_EQ(snapshot(target), snapshot(second));
+  EXPECT_EQ(buf.peek(), std::char_traits<char>::eof());
 }
 
 TEST(Serialize, LoadIntoAQuantizedNetworkThrowsAndKeepsItsWeights) {

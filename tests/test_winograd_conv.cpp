@@ -387,5 +387,44 @@ TEST(WinogradSimd, PortableAndAvx2AreBitIdentical) {
   }
 }
 
+TEST(WinogradSimd, StaleOwnPackStagesItsTransformedFilters) {
+  if (!simd::cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  // Every tile position's 64 x patches x 64 sgemm reaches the blocked
+  // path, where a fresh pack would stand in for the staged panels. A pack
+  // built at AVX2 is stale at portable: sgemm stages the pack's own U
+  // instead, bit-identically to the portable staged forward.
+  const ConvConfig cfg{.batch = 1, .input = 32, .channels = 64,
+                       .filters = 64, .kernel = 3, .stride = 1, .pad = 1};
+  Rng rng(40);
+  Tensor in(cfg.input_shape());
+  in.fill_uniform(rng);
+  Tensor w(cfg.filter_shape());
+  w.fill_uniform(rng);
+  std::vector<float> bias(cfg.filters);
+  for (auto& b : bias) b = static_cast<float>(rng.uniform(-0.5, 0.5));
+  const auto& fallbacks = obs::metrics().counter("conv.winograd.fallbacks");
+  const SimdGuard restore(simd::active());
+  for (const WinogradTile tile : kTiles) {
+    const WinogradConv engine(tile);
+    ASSERT_EQ(simd::set_active_for_testing(simd::Level::kAvx2),
+              simd::Level::kAvx2);
+    const auto packed = engine.prepack(cfg, w);
+    ASSERT_NE(packed, nullptr);
+    ASSERT_TRUE(packed->fresh());
+    ASSERT_EQ(simd::set_active_for_testing(simd::Level::kPortable),
+              simd::Level::kPortable);
+    ASSERT_FALSE(packed->fresh());
+
+    Tensor staged(cfg.output_shape());
+    engine.forward(cfg, in, w, staged, {.bias = bias, .relu = true});
+    const std::int64_t before = fallbacks.value();
+    Tensor stale(cfg.output_shape());
+    engine.forward(cfg, in, w, stale,
+                   {.bias = bias, .relu = true, .packed = packed.get()});
+    EXPECT_EQ(fallbacks.value(), before + 1) << label_of(tile);
+    EXPECT_EQ(max_abs_diff(staged, stale), 0.0) << label_of(tile);
+  }
+}
+
 }  // namespace
 }  // namespace gpucnn::conv
