@@ -5,7 +5,8 @@
 //   * FFT: DIT vs DIF schedules across sizes;
 //   * im2col lowering throughput;
 //   * the three convolution strategies head-to-head on one geometry —
-//     the CPU mirror of Fig. 3(d)'s strategy crossover.
+//     the CPU mirror of Fig. 3(d)'s strategy crossover;
+//   * LRN forward and backward at GoogLeNet's batch-1 shapes.
 //
 // Beyond the stock google-benchmark flags the binary understands
 //   --quick                    short run (--benchmark_min_time=0.01[s],
@@ -39,6 +40,7 @@
 #include "conv/fft_conv.hpp"
 #include "fft/fft.hpp"
 #include "fft/rfft.hpp"
+#include "nn/lrn_layer.hpp"
 #include "obs/exporter.hpp"
 #include "tune/autotuner.hpp"
 
@@ -670,6 +672,45 @@ void BM_CgemmPointwise(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CgemmPointwise);
+
+// --- LRN -------------------------------------------------------------
+
+/// GoogLeNet's two LRN layers at batch 1: lrn1 (arg 0) and lrn2 (arg 1),
+/// with the zoo's parameters (size 5, alpha 1e-4, beta 0.75, k 2).
+constexpr TensorShape kLrnShapes[] = {{1, 64, 56, 56}, {1, 192, 56, 56}};
+
+void BM_LrnForward(benchmark::State& state) {
+  nn::LrnLayer lrn("lrn");
+  lrn.set_training(false);
+  Rng rng(14);
+  Tensor in(kLrnShapes[state.range(0)]);
+  in.fill_uniform(rng);
+  Tensor out;
+  for (auto _ : state) {
+    lrn.forward(in, out);
+    benchmark::DoNotOptimize(out.raw());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_LrnForward)->Arg(0)->Arg(1);
+
+void BM_LrnBackward(benchmark::State& state) {
+  nn::LrnLayer lrn("lrn");
+  Rng rng(15);
+  Tensor in(kLrnShapes[state.range(0)]);
+  in.fill_uniform(rng);
+  Tensor gout(in.shape());
+  gout.fill_uniform(rng);
+  Tensor out;
+  Tensor gin;
+  lrn.forward(in, out);
+  for (auto _ : state) {
+    lrn.backward(in, gout, gin);
+    benchmark::DoNotOptimize(gin.raw());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_LrnBackward)->Arg(1);
 
 // --- reporting -------------------------------------------------------
 

@@ -1,34 +1,76 @@
 #include "nn/lrn_layer.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/thread_pool.hpp"
+#include "core/workspace.hpp"
 
 namespace gpucnn::nn {
+namespace {
+
+/// Pixels per block: a block's double accumulators stay in L1.
+constexpr std::size_t kBlock = 256;
+
+/// Channels [lo, hi] in output channel c's window, clipped at the edges.
+struct Window {
+  std::size_t lo, hi;
+};
+
+Window window_of(std::size_t c, std::size_t channels, std::size_t size) {
+  const std::size_t half = size / 2;
+  return {c >= half ? c - half : 0, std::min(c + half, channels - 1)};
+}
+
+}  // namespace
+
+void LrnLayer::scale(const Tensor& in, std::size_t n, std::size_t c,
+                     std::size_t off, std::size_t len, double* b) const {
+  const auto& s = in.shape();
+  const Window win = window_of(c, s.c, size_);
+  std::fill_n(b, len, 0.0);
+  for (std::size_t cc = win.lo; cc <= win.hi; ++cc) {
+    const float* src = in.plane(n, cc) + off;
+    for (std::size_t i = 0; i < len; ++i) {
+      const double v = src[i];
+      b[i] += v * v;
+    }
+  }
+  const double norm = alpha_ / static_cast<double>(size_);
+  for (std::size_t i = 0; i < len; ++i) b[i] = k_ + norm * b[i];
+}
+
+void LrnLayer::neg_pow(const double* b, std::size_t len, double* p) const {
+  if (beta_ == 0.75) {
+    for (std::size_t i = 0; i < len; ++i) {
+      const double root = std::sqrt(b[i]);
+      p[i] = 1.0 / (root * std::sqrt(root));
+    }
+  } else {
+    for (std::size_t i = 0; i < len; ++i) {
+      p[i] = std::exp(-beta_ * std::log(b[i]));
+    }
+  }
+}
 
 void LrnLayer::forward(const Tensor& in, Tensor& out) {
   const auto& s = in.shape();
   out.resize(s);
-  scale_.resize(s);
-  const std::size_t half = size_ / 2;
-  const double norm = alpha_ / static_cast<double>(size_);
+  const std::size_t hw = s.h * s.w;
 
-  parallel_for(0, s.n, [&](std::size_t n) {
-    for (std::size_t y = 0; y < s.h; ++y) {
-      for (std::size_t x = 0; x < s.w; ++x) {
-        for (std::size_t c = 0; c < s.c; ++c) {
-          const std::size_t lo = c >= half ? c - half : 0;
-          const std::size_t hi = std::min(c + half, s.c - 1);
-          double sum_sq = 0.0;
-          for (std::size_t cc = lo; cc <= hi; ++cc) {
-            const double v = in(n, cc, y, x);
-            sum_sq += v * v;
-          }
-          const double b = k_ + norm * sum_sq;
-          scale_(n, c, y, x) = static_cast<float>(b);
-          out(n, c, y, x) =
-              static_cast<float>(in(n, c, y, x) * std::pow(b, -beta_));
-        }
+  parallel_for(0, s.n * s.c, [&](std::size_t job) {
+    const std::size_t n = job / s.c;
+    const std::size_t c = job % s.c;
+    const float* src = in.plane(n, c);
+    float* dst = out.plane(n, c);
+    double b[kBlock];
+    double p[kBlock];
+    for (std::size_t off = 0; off < hw; off += kBlock) {
+      const std::size_t len = std::min(kBlock, hw - off);
+      scale(in, n, c, off, len, b);
+      neg_pow(b, len, p);
+      for (std::size_t i = 0; i < len; ++i) {
+        dst[off + i] = static_cast<float>(src[off + i] * p[i]);
       }
     }
   });
@@ -38,33 +80,56 @@ void LrnLayer::backward(const Tensor& in, const Tensor& grad_out,
                         Tensor& grad_in) {
   const auto& s = in.shape();
   check(grad_out.shape() == s, "lrn: grad_out shape mismatch");
-  check(scale_.shape() == s, "lrn: backward before forward");
   grad_in.resize(s);
-  const std::size_t half = size_ / 2;
+  const std::size_t hw = s.h * s.w;
   const double norm = alpha_ / static_cast<double>(size_);
 
-  parallel_for(0, s.n, [&](std::size_t n) {
-    for (std::size_t y = 0; y < s.h; ++y) {
-      for (std::size_t x = 0; x < s.w; ++x) {
-        // gin(c'') = gout(c'') * b(c'')^-beta
-        //          - 2*beta*norm*in(c'') * sum_{c: |c-c''|<=half}
-        //            gout(c)*in(c)*b(c)^(-beta-1)
-        for (std::size_t ct = 0; ct < s.c; ++ct) {
-          const std::size_t lo = ct >= half ? ct - half : 0;
-          const std::size_t hi = std::min(ct + half, s.c - 1);
-          double cross = 0.0;
-          for (std::size_t c = lo; c <= hi; ++c) {
-            cross += static_cast<double>(grad_out(n, c, y, x)) *
-                     in(n, c, y, x) *
-                     std::pow(static_cast<double>(scale_(n, c, y, x)),
-                              -beta_ - 1.0);
-          }
-          const double direct =
-              static_cast<double>(grad_out(n, ct, y, x)) *
-              std::pow(static_cast<double>(scale_(n, ct, y, x)), -beta_);
-          grad_in(n, ct, y, x) = static_cast<float>(
-              direct - 2.0 * beta_ * norm * in(n, ct, y, x) * cross);
-        }
+  // gin(c) = gout(c) * b(c)^-beta - 2*beta*norm*in(c) * sum_{c' in
+  // window(c)} t(c'), with t = gout * in * b^(-beta-1). The first pass
+  // writes t for every plane; the second sums it over each window.
+  ws::Scratch<double> t(s.count());
+  parallel_for(0, s.n * s.c, [&](std::size_t job) {
+    const std::size_t n = job / s.c;
+    const std::size_t c = job % s.c;
+    const float* x = in.plane(n, c);
+    const float* g = grad_out.plane(n, c);
+    double* tp = t.data() + job * hw;
+    double b[kBlock];
+    double p[kBlock];
+    for (std::size_t off = 0; off < hw; off += kBlock) {
+      const std::size_t len = std::min(kBlock, hw - off);
+      scale(in, n, c, off, len, b);
+      neg_pow(b, len, p);
+      for (std::size_t i = 0; i < len; ++i) {
+        tp[off + i] = static_cast<double>(g[off + i]) * x[off + i] *
+                      (p[i] / b[i]);
+      }
+    }
+  });
+  parallel_for(0, s.n * s.c, [&](std::size_t job) {
+    const std::size_t n = job / s.c;
+    const std::size_t c = job % s.c;
+    const Window win = window_of(c, s.c, size_);
+    const float* x = in.plane(n, c);
+    const float* g = grad_out.plane(n, c);
+    float* gin = grad_in.plane(n, c);
+    const double* sample_t = t.data() + n * s.c * hw;
+    double b[kBlock];
+    double p[kBlock];
+    double cross[kBlock];
+    for (std::size_t off = 0; off < hw; off += kBlock) {
+      const std::size_t len = std::min(kBlock, hw - off);
+      scale(in, n, c, off, len, b);
+      neg_pow(b, len, p);
+      std::fill_n(cross, len, 0.0);
+      for (std::size_t cc = win.lo; cc <= win.hi; ++cc) {
+        const double* tc = sample_t + cc * hw + off;
+        for (std::size_t i = 0; i < len; ++i) cross[i] += tc[i];
+      }
+      for (std::size_t i = 0; i < len; ++i) {
+        const double direct = static_cast<double>(g[off + i]) * p[i];
+        gin[off + i] = static_cast<float>(
+            direct - 2.0 * beta_ * norm * x[off + i] * cross[i]);
       }
     }
   });

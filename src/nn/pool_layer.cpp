@@ -28,11 +28,53 @@ TensorShape PoolLayer::output_shape(const TensorShape& in) const {
   return {in.n, in.c, out_dim(in.h), out_dim(in.w)};
 }
 
+namespace {
+
+/// The window maximum and its plane index.
+struct Winner {
+  float value = -std::numeric_limits<float>::infinity();
+  std::size_t index = 0;
+};
+
+/// Walks one input plane's pooling windows.
+struct Taps {
+  std::size_t window, stride, pad;
+  TensorShape in;
+
+  /// Calls tap(idx) with the plane index of every in-bounds tap of
+  /// output (oy, ox)'s window, row by row; padding taps are skipped.
+  template <typename F>
+  void operator()(std::size_t oy, std::size_t ox, F&& tap) const {
+    for (std::size_t wy = 0; wy < window; ++wy) {
+      const std::size_t iy = oy * stride + wy;
+      if (iy < pad || iy >= in.h + pad) continue;
+      for (std::size_t wx = 0; wx < window; ++wx) {
+        const std::size_t ix = ox * stride + wx;
+        if (ix < pad || ix >= in.w + pad) continue;
+        tap((iy - pad) * in.w + (ix - pad));
+      }
+    }
+  }
+
+  /// Strict >, so the first maximum wins; a window with no tap above
+  /// -inf keeps index 0.
+  [[nodiscard]] Winner max(const float* plane, std::size_t oy,
+                           std::size_t ox) const {
+    Winner best;
+    (*this)(oy, ox, [&](std::size_t idx) {
+      if (plane[idx] > best.value) best = {plane[idx], idx};
+    });
+    return best;
+  }
+};
+
+}  // namespace
+
 void PoolLayer::forward(const Tensor& in, Tensor& out) {
   const auto& is = in.shape();
   const TensorShape os = output_shape(is);
   out.resize(os);
-  if (mode_ == PoolMode::kMax) argmax_.assign(os.count(), 0);
+  const Taps taps{window_, stride_, pad_, is};
 
   parallel_for(0, is.n * is.c, [&](std::size_t job) {
     const std::size_t n = job / is.c;
@@ -41,35 +83,19 @@ void PoolLayer::forward(const Tensor& in, Tensor& out) {
     float* dst = out.plane(n, c);
     for (std::size_t oy = 0; oy < os.h; ++oy) {
       for (std::size_t ox = 0; ox < os.w; ++ox) {
-        float best = -std::numeric_limits<float>::infinity();
-        std::uint32_t best_idx = 0;
+        float& o = dst[oy * os.w + ox];
+        if (mode_ == PoolMode::kMax) {
+          o = taps.max(src, oy, ox).value;
+          continue;
+        }
         double sum = 0.0;
         std::size_t count = 0;
-        for (std::size_t wy = 0; wy < window_; ++wy) {
-          const std::size_t iy = oy * stride_ + wy;
-          if (iy < pad_ || iy >= is.h + pad_) continue;
-          for (std::size_t wx = 0; wx < window_; ++wx) {
-            const std::size_t ix = ox * stride_ + wx;
-            if (ix < pad_ || ix >= is.w + pad_) continue;
-            const std::size_t idx = (iy - pad_) * is.w + (ix - pad_);
-            const float v = src[idx];
-            if (v > best) {
-              best = v;
-              best_idx = static_cast<std::uint32_t>(idx);
-            }
-            sum += v;
-            ++count;
-          }
-        }
-        const std::size_t out_idx = oy * os.w + ox;
-        if (mode_ == PoolMode::kMax) {
-          dst[out_idx] = best;
-          argmax_[(n * is.c + c) * os.spatial() + out_idx] = best_idx;
-        } else {
-          dst[out_idx] =
-              count > 0 ? static_cast<float>(sum / static_cast<double>(count))
-                        : 0.0F;
-        }
+        taps(oy, ox, [&](std::size_t idx) {
+          sum += src[idx];
+          ++count;
+        });
+        o = count > 0 ? static_cast<float>(sum / static_cast<double>(count))
+                      : 0.0F;
       }
     }
   });
@@ -81,42 +107,28 @@ void PoolLayer::backward(const Tensor& in, const Tensor& grad_out,
   const TensorShape os = output_shape(is);
   check(grad_out.shape() == os, "pool: grad_out shape mismatch");
   grad_in.resize(is);
+  const Taps taps{window_, stride_, pad_, is};
 
   parallel_for(0, is.n * is.c, [&](std::size_t job) {
     const std::size_t n = job / is.c;
     const std::size_t c = job % is.c;
+    const float* src = in.plane(n, c);
     const float* gout = grad_out.plane(n, c);
     float* gin = grad_in.plane(n, c);
     for (std::size_t oy = 0; oy < os.h; ++oy) {
       for (std::size_t ox = 0; ox < os.w; ++ox) {
-        const std::size_t out_idx = oy * os.w + ox;
-        const float g = gout[out_idx];
+        const float g = gout[oy * os.w + ox];
         if (mode_ == PoolMode::kMax) {
-          gin[argmax_[(n * is.c + c) * os.spatial() + out_idx]] += g;
+          // Forward's winner, recomputed from this input.
+          gin[taps.max(src, oy, ox).index] += g;
           continue;
         }
         // Average: spread over the window's in-bounds taps.
         std::size_t count = 0;
-        for (std::size_t wy = 0; wy < window_; ++wy) {
-          const std::size_t iy = oy * stride_ + wy;
-          if (iy < pad_ || iy >= is.h + pad_) continue;
-          for (std::size_t wx = 0; wx < window_; ++wx) {
-            const std::size_t ix = ox * stride_ + wx;
-            if (ix < pad_ || ix >= is.w + pad_) continue;
-            ++count;
-          }
-        }
+        taps(oy, ox, [&](std::size_t) { ++count; });
         if (count == 0) continue;
         const float share = g / static_cast<float>(count);
-        for (std::size_t wy = 0; wy < window_; ++wy) {
-          const std::size_t iy = oy * stride_ + wy;
-          if (iy < pad_ || iy >= is.h + pad_) continue;
-          for (std::size_t wx = 0; wx < window_; ++wx) {
-            const std::size_t ix = ox * stride_ + wx;
-            if (ix < pad_ || ix >= is.w + pad_) continue;
-            gin[(iy - pad_) * is.w + (ix - pad_)] += share;
-          }
-        }
+        taps(oy, ox, [&](std::size_t idx) { gin[idx] += share; });
       }
     }
   });

@@ -1,8 +1,8 @@
 // Max / average pooling (paper §II.A: "pooling layers ... reduce the
-// spatial size of feature map").
+// spatial size of feature map"). The layer keeps no state between
+// passes: max-pool backward recomputes each window's winner from its
+// input with forward's rule.
 #pragma once
-
-#include <vector>
 
 #include "nn/layer.hpp"
 
@@ -30,7 +30,6 @@ class PoolLayer final : public Layer {
   std::size_t stride_;
   std::size_t pad_;
   PoolMode mode_;
-  std::vector<std::uint32_t> argmax_;  ///< winner index per output (max)
 };
 
 }  // namespace gpucnn::nn

@@ -9,24 +9,12 @@
 
 #include "core/cpu_features.hpp"
 #include "core/rng.hpp"
+#include "simd_guard.hpp"
 
 namespace gpucnn::blas {
 namespace {
 
 constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
-
-// Pins the SIMD dispatch level for one test and restores it after.
-class SimdGuard {
- public:
-  explicit SimdGuard(simd::Level level)
-      : previous_(simd::set_active_for_testing(level)) {}
-  ~SimdGuard() { simd::set_active_for_testing(previous_); }
-  SimdGuard(const SimdGuard&) = delete;
-  SimdGuard& operator=(const SimdGuard&) = delete;
-
- private:
-  simd::Level previous_;
-};
 
 std::vector<float> random_matrix(std::size_t rows, std::size_t cols,
                                  Rng& rng) {

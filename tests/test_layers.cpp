@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "nn/activation_layer.hpp"
@@ -23,6 +24,13 @@ double weighted_loss(const Tensor& out, const Tensor& weights) {
     acc += static_cast<double>(out.data()[i]) * weights.data()[i];
   }
   return acc;
+}
+
+// True when both tensors have the same shape and the same bytes.
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.count() * sizeof(float)) == 0;
 }
 
 // Checks layer.backward's input gradient against central differences.
@@ -84,6 +92,67 @@ TEST(PoolLayer, MaxPoolBackwardRoutesToWinner) {
   pool.backward(in, gout, gin);
   EXPECT_FLOAT_EQ(gin(0, 0, 0, 1), 3.0F);
   EXPECT_FLOAT_EQ(gin(0, 0, 0, 0), 0.0F);
+}
+
+TEST(PoolLayer, MaxBackwardRoutesByItsOwnInput) {
+  // Backward recomputes each winner from the input it is given: after a
+  // forward on another input, or with no forward at all, it must match a
+  // fresh layer's forward(b) + backward(b, g) bit for bit. Both
+  // geometries have ties-free random inputs; the second pads and keeps a
+  // ceil-mode trailing window.
+  struct Case {
+    std::size_t window, stride, pad;
+  };
+  for (const Case pc : {Case{2, 2, 0}, Case{3, 2, 1}}) {
+    Rng rng(21);
+    Tensor a(2, 3, 9, 9);
+    Tensor b(a.shape());
+    a.fill_uniform(rng);
+    b.fill_uniform(rng);
+    PoolLayer fresh("p", pc.window, pc.stride, PoolMode::kMax, pc.pad);
+    Tensor gout(fresh.output_shape(b.shape()));
+    gout.fill_uniform(rng);
+    Tensor out;
+    Tensor want;
+    fresh.forward(b, out);
+    fresh.backward(b, gout, want);
+
+    PoolLayer after_a("p", pc.window, pc.stride, PoolMode::kMax, pc.pad);
+    after_a.forward(a, out);
+    Tensor got;
+    after_a.backward(b, gout, got);
+    EXPECT_TRUE(same_bits(got, want)) << "after forward(a), window "
+                                      << pc.window;
+
+    PoolLayer cold("p", pc.window, pc.stride, PoolMode::kMax, pc.pad);
+    Tensor got_cold;
+    cold.backward(b, gout, got_cold);
+    EXPECT_TRUE(same_bits(got_cold, want)) << "no forward, window "
+                                           << pc.window;
+  }
+}
+
+TEST(PoolLayer, MaxBackwardAtALargerBatchThanTheLastForward) {
+  // A forward at batch 1, then a backward at batch 8: every window of the
+  // larger input routes by its own winner (and stays in bounds).
+  Rng rng(22);
+  Tensor small(1, 4, 8, 8);
+  Tensor big(8, 4, 8, 8);
+  small.fill_uniform(rng);
+  big.fill_uniform(rng);
+  PoolLayer fresh("p", 2, 2);
+  Tensor gout(fresh.output_shape(big.shape()));
+  gout.fill_uniform(rng);
+  Tensor out;
+  Tensor want;
+  fresh.forward(big, out);
+  fresh.backward(big, gout, want);
+
+  PoolLayer used("p", 2, 2);
+  used.forward(small, out);
+  Tensor got;
+  used.backward(big, gout, got);
+  EXPECT_TRUE(same_bits(got, want));
 }
 
 TEST(PoolLayer, AveragePoolValue) {
@@ -315,7 +384,9 @@ TEST(LrnLayer, MatchesFp64ReferenceOnEveryElement) {
   constexpr Case kCases[] = {{1, 13, 5, 7, 5, 0.75, 2.0},
                              {3, 8, 3, 5, 3, 0.6, 1.0},
                              {1, 8, 7, 3, 5, 0.6, 1.0},
-                             {3, 13, 3, 3, 3, 0.75, 2.0}};
+                             {3, 13, 3, 3, 3, 0.75, 2.0},
+                             {1, 64, 9, 11, 5, 0.75, 2.0},
+                             {1, 96, 7, 5, 3, 0.6, 1.0}};
   constexpr double kAlpha = 1.0;
   constexpr double kRelTol = 1e-6;
   for (const Case& tc : kCases) {
@@ -373,6 +444,44 @@ TEST(LrnLayer, MatchesFp64ReferenceOnEveryElement) {
       }
     }
   }
+}
+
+TEST(LrnLayer, KeepsNoStateBetweenPasses) {
+  // alpha = 1 makes b depend strongly on the input, so a backward that
+  // read another input's b would differ.
+  const auto make = [] { return LrnLayer("l", 5, 1.0, 0.75, 2.0); };
+  Rng rng(31);
+  Tensor a(2, 24, 5, 7);
+  Tensor b(a.shape());
+  Tensor gout(a.shape());
+  a.fill_uniform(rng);
+  b.fill_uniform(rng);
+  gout.fill_uniform(rng);
+
+  LrnLayer train = make();
+  LrnLayer infer = make();
+  infer.set_training(false);
+  Tensor out_train;
+  Tensor out_infer;
+  train.forward(b, out_train);
+  infer.forward(b, out_infer);
+  EXPECT_TRUE(same_bits(out_train, out_infer))
+      << "training and inference forwards differ";
+
+  Tensor want;
+  train.backward(b, gout, want);
+
+  LrnLayer cold = make();
+  Tensor got_cold;
+  cold.backward(b, gout, got_cold);
+  EXPECT_TRUE(same_bits(got_cold, want)) << "backward with no forward";
+
+  LrnLayer after_a = make();
+  Tensor out;
+  after_a.forward(a, out);
+  Tensor got;
+  after_a.backward(b, gout, got);
+  EXPECT_TRUE(same_bits(got, want)) << "backward(b) after forward(a)";
 }
 
 TEST(LrnLayer, RejectsEvenWindow) { EXPECT_THROW(LrnLayer("l", 4), Error); }

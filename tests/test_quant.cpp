@@ -13,6 +13,7 @@
 #include "core/cpu_features.hpp"
 #include "core/error.hpp"
 #include "obs/metrics.hpp"
+#include "simd_guard.hpp"
 
 namespace gpucnn::quant {
 namespace {
@@ -318,17 +319,26 @@ TEST(IgemmTest, MatchesNaiveAcrossMBlockBoundary) {
 }
 
 TEST(IgemmTest, PortableAndActiveKernelsAgree) {
-  const simd::Level before =
-      simd::set_active_for_testing(simd::Level::kPortable);
+  // 9x160x200 is past the 64^3 small-problem cut-off, so both levels run
+  // their blocked micro-kernels (each call packs B); A stays within the
+  // +-63 weight range, where maddubs cannot saturate.
+  constexpr std::size_t m = 9, n = 160, k = 200;
   std::vector<std::int8_t> a;
   std::vector<std::uint8_t> b;
-  fill_random_operands(9, 33, 70, a, b, 10);
-  std::vector<std::int32_t> portable(9 * 33);
-  blas::igemm_s32(9, 33, 70, a, 70, b, 33, portable, 33);
-  simd::set_active_for_testing(before);
-  std::vector<std::int32_t> active(9 * 33);
-  blas::igemm_s32(9, 33, 70, a, 70, b, 33, active, 33);
-  EXPECT_EQ(active, portable);
+  fill_random_operands(m, n, k, a, b, 10);
+  const auto& packed_b = obs::metrics().counter("blas.igemm.bytes_packed_b");
+  const auto run = [&](simd::Level level) {
+    const SimdGuard guard(level);
+    std::vector<std::int32_t> c(m * n, -1);
+    const std::int64_t before = packed_b.value();
+    blas::igemm_s32(m, n, k, a, k, b, n, c, n);
+    EXPECT_GT(packed_b.value(), before)
+        << simd::name(level) << " took the small-problem path";
+    return c;
+  };
+  const simd::Level native =
+      simd::cpu_has_avx2() ? simd::Level::kAvx2 : simd::Level::kPortable;
+  EXPECT_EQ(run(native), run(simd::Level::kPortable));
 }
 
 TEST(IgemmTest, EpilogueDequantizesBiasesAndClamps) {

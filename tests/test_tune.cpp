@@ -9,6 +9,7 @@
 #include "conv/conv_engine.hpp"
 #include "core/cpu_features.hpp"
 #include "obs/metrics.hpp"
+#include "simd_guard.hpp"
 
 namespace gpucnn::tune {
 namespace {
@@ -116,8 +117,7 @@ TEST_F(TunerFixture, MeasuredDecisionIsDeterministicAndMemoized) {
   // Pinning the SIMD level makes the candidate set and the memo key
   // deterministic; the winner itself is whatever the machine measures,
   // but repeated decides must return the memoized pick without rerunning.
-  const simd::Level level_before =
-      simd::set_active_for_testing(simd::Level::kPortable);
+  const SimdGuard portable(simd::Level::kPortable);
   tuner_->set_mode(Mode::kMeasure);
   const Decision first = tuner_->decide(small_config(), Pass::kForward);
   ASSERT_NE(first.engine, nullptr);
@@ -135,7 +135,6 @@ TEST_F(TunerFixture, MeasuredDecisionIsDeterministicAndMemoized) {
   EXPECT_EQ(obs::metrics().counter("tune.trials").value(),
             trials_after_first)
       << "memoized decision must not re-measure";
-  simd::set_active_for_testing(level_before);
 }
 
 TEST_F(TunerFixture, CacheRoundTripPreservesDecisions) {

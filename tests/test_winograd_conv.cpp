@@ -15,6 +15,7 @@
 #include "core/cpu_features.hpp"
 #include "core/rng.hpp"
 #include "obs/metrics.hpp"
+#include "simd_guard.hpp"
 
 namespace gpucnn::conv {
 namespace {
@@ -317,19 +318,6 @@ TEST(WinogradTileAgreement, EngineVariantsAreDistinct) {
 }
 
 // --- SIMD levels ----------------------------------------------------------
-
-/// Pins the SIMD level for one scope and restores the previous one.
-class SimdGuard {
- public:
-  explicit SimdGuard(simd::Level level)
-      : previous_(simd::set_active_for_testing(level)) {}
-  ~SimdGuard() { simd::set_active_for_testing(previous_); }
-  SimdGuard(const SimdGuard&) = delete;
-  SimdGuard& operator=(const SimdGuard&) = delete;
-
- private:
-  simd::Level previous_;
-};
 
 TEST(WinogradSimd, PortableAndAvx2AreBitIdentical) {
   if (!simd::cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2";
