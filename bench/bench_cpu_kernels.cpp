@@ -479,7 +479,8 @@ void BM_Int8ConvForward(benchmark::State& state) {
   const auto bias = random_vec(cfg.filters, 10);
   Tensor out(cfg.output_shape());
   // The deployed path: weights prepacked offline, activation scale
-  // pinned by calibration — per-iteration work is im2col_u8 + igemm.
+  // pinned by calibration — per-iteration work is the uint8 im2col +
+  // igemm.
   const auto qw = quant::quantize_filters(
       w.data(), cfg.filters,
       (cfg.channels / cfg.groups) * cfg.kernel * cfg.kernel);

@@ -81,8 +81,7 @@ const conv::ConvEngine& reference_engine() {
 
 /// The engines checked against the reference: every exact registry
 /// engine, plus the full-complex spectrum path kept as the rfft
-/// cross-check (the int8 engines have their own quantization-aware
-/// check).
+/// cross-check (the int8 engine has its own quantization-aware check).
 std::vector<const conv::ConvEngine*> checked_engines() {
   static const conv::FftConv fft_complex(conv::FftConv::Spectrum::kFull);
   std::vector<const conv::ConvEngine*> engines;
@@ -509,44 +508,28 @@ void check_int8(const ConvConfig& cfg, std::uint64_t seed,
   const quant::ActQuant aq =
       quant::choose_act_quant(-act_absmax, act_absmax);
 
-  struct Variant {
-    const char* label;
-    bool implicit;
-    bool relu;
-  };
-  const Variant variants[] = {
-      {"unrolling-int8 plain", false, false},
-      {"unrolling-int8 fused", false, true},
-      {"implicit-int8 plain", true, false},
-      {"implicit-int8 fused", true, true},
-  };
-  for (const auto& v : variants) {
-    if (v.implicit && cfg.groups != 1) continue;
-    const Tensor& reference = v.relu ? ref_fused : ref_plain;
+  for (const bool relu : {false, true}) {
+    const std::string label =
+        std::string("unrolling-int8") + (relu ? " fused" : " plain");
+    const Tensor& reference = relu ? ref_fused : ref_plain;
     const std::span<const float> b =
-        v.relu ? std::span<const float>(bias) : std::span<const float>();
+        relu ? std::span<const float>(bias) : std::span<const float>();
     Tensor got(cfg.output_shape());
     try {
-      if (v.implicit) {
-        conv::quantized_implicit_forward(cfg, input, qw, nullptr, aq, b,
-                                         v.relu, got);
-      } else {
-        conv::quantized_gemm_forward(cfg, input, qw, nullptr, aq, b, v.relu,
-                                     got);
-      }
+      conv::quantized_gemm_forward(cfg, input, qw, nullptr, aq, b, relu, got);
     } catch (const std::exception& e) {
-      fail(std::string(v.label) + " threw: " + e.what());
+      fail(label + " threw: " + e.what());
       continue;
     }
     ++report.int8_checks;
     if (!finite(got)) {
-      fail(std::string(v.label) + " produced non-finite values");
+      fail(label + " produced non-finite values");
       continue;
     }
     const double diff = max_abs_diff(reference, got);
     if (!(diff < tolerance)) {
       std::ostringstream os;
-      os << v.label << " disagrees with fp32: max|diff| = " << diff
+      os << label << " disagrees with fp32: max|diff| = " << diff
          << " (quantization tolerance " << tolerance << ')';
       fail(os.str());
     }
@@ -632,8 +615,8 @@ void check_prepack(const ConvConfig& cfg, std::uint64_t seed,
     }
   }
 
-  // The int8 packed overloads share every quantized step with the staged
-  // ones except the weight tiling, so they face the same exact bar.
+  // The int8 packed forward shares every quantized step with the staged
+  // one except the weight tiling, so it faces the same exact bar.
   float act_absmax = 0.0F;
   for (const float v : input.data()) {
     act_absmax = std::max(act_absmax, std::fabs(v));
@@ -646,33 +629,18 @@ void check_prepack(const ConvConfig& cfg, std::uint64_t seed,
       quant::choose_act_quant(-act_absmax, act_absmax);
   const conv::PackedQFilters qpacked =
       conv::prepack_quantized_filters(cfg, qw);
-  struct Variant {
-    bool implicit;
-    bool relu;
-  };
-  constexpr Variant kVariants[] = {
-      {false, false}, {false, true}, {true, false}, {true, true}};
-  for (const auto& v : kVariants) {
-    if (v.implicit && cfg.groups != 1) continue;
+  for (const bool relu : {false, true}) {
     const std::string label =
-        std::string(v.implicit ? "implicit-int8" : "unrolling-int8") +
-        (v.relu ? " fused" : " plain");
+        std::string("unrolling-int8") + (relu ? " fused" : " plain");
     const std::span<const float> b =
-        v.relu ? std::span<const float>(bias) : std::span<const float>();
+        relu ? std::span<const float>(bias) : std::span<const float>();
     Tensor staged(cfg.output_shape());
     Tensor reused(cfg.output_shape());
     try {
-      if (v.implicit) {
-        conv::quantized_implicit_forward(cfg, input, qw, nullptr, aq, b,
-                                         v.relu, staged);
-        conv::quantized_implicit_forward(cfg, input, qw, &qpacked, aq, b,
-                                         v.relu, reused);
-      } else {
-        conv::quantized_gemm_forward(cfg, input, qw, nullptr, aq, b, v.relu,
-                                     staged);
-        conv::quantized_gemm_forward(cfg, input, qw, &qpacked, aq, b,
-                                     v.relu, reused);
-      }
+      conv::quantized_gemm_forward(cfg, input, qw, nullptr, aq, b, relu,
+                                   staged);
+      conv::quantized_gemm_forward(cfg, input, qw, &qpacked, aq, b, relu,
+                                   reused);
     } catch (const std::exception& e) {
       fail(label + " threw: " + e.what());
       continue;

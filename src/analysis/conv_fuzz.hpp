@@ -5,8 +5,8 @@
 // generates adversarial-but-valid ConvConfigs (stride > kernel,
 // pad >= kernel, single-channel / single-image shapes, non-power-of-two
 // sizes that stress FFT padding, grouped and odd geometries), runs each
-// through every real numeric engine (direct / im2col+GEMM /
-// implicit-GEMM / FFT / tiled-FFT / Winograd) on all three passes,
+// through every real numeric engine (direct / im2col+GEMM / FFT /
+// tiled-FFT / Winograd / depthwise) on all three passes,
 // cross-checks outputs against the direct reference, and validates the
 // seven framework plans against the gpusim invariants (finite
 // non-negative times, workspace accounting balances).
@@ -98,13 +98,13 @@ void check_config(const ConvConfig& cfg, std::uint64_t seed,
 void check_fused(const ConvConfig& cfg, std::uint64_t seed,
                  std::size_t index, FuzzReport& report);
 
-/// Cross-checks the int8 quantized forwards (im2col+int8-GEMM and,
-/// when groups == 1, tiled implicit) against the fp32 im2col+GEMM
-/// reference — plain and fused bias+ReLU — under a quantization-aware
-/// tolerance: K * (|a|max * dw/2 + |w|max * da/2 + da * dw/4), the
-/// worst-case dequantized rounding error of a K-term dot product with
-/// activation step da and weight step dw. A zero-point-correction or
-/// saturation bug exceeds that bound by orders of magnitude.
+/// Cross-checks the int8 quantized forward (im2col+int8-GEMM) against
+/// the fp32 im2col+GEMM reference — plain and fused bias+ReLU — under a
+/// quantization-aware tolerance: K * (|a|max * dw/2 + |w|max * da/2 +
+/// da * dw/4), the worst-case dequantized rounding error of a K-term dot
+/// product with activation step da and weight step dw. A
+/// zero-point-correction or saturation bug exceeds that bound by orders
+/// of magnitude.
 void check_int8(const ConvConfig& cfg, std::uint64_t seed,
                 std::size_t index, FuzzReport& report);
 
@@ -112,7 +112,7 @@ void check_int8(const ConvConfig& cfg, std::uint64_t seed,
 /// identical inputs, weights, and fused bias+ReLU epilogues: every
 /// registry engine handed its own pack (which it must read without
 /// re-packing weights) and every other engine's pack (which it must
-/// ignore), plus both int8 quantized paths. Pack-once/execute-many
+/// ignore), plus the int8 quantized path. Pack-once/execute-many
 /// reuses the exact panel bytes the staged path packs per call, so every
 /// comparison demands bit-identity — any difference is a packing-layout
 /// or offset bug, not rounding.

@@ -7,7 +7,6 @@
 #include "conv/direct_conv.hpp"
 #include "conv/fft_conv.hpp"
 #include "conv/gemm_conv.hpp"
-#include "conv/implicit_gemm_conv.hpp"
 #include "conv/quantized_conv.hpp"
 #include "conv/tiled_fft_conv.hpp"
 #include "conv/winograd_conv.hpp"
@@ -64,18 +63,15 @@ void ConvEngine::apply_epilogue(const ConvConfig& cfg,
 std::span<const ConvEngine* const> registry() {
   static const DirectConv direct;
   static const GemmConv unrolling;
-  static const ImplicitGemmConv implicit;
   static const FftConv fft;  // half-spectrum
   static const TiledFftConv fft_tiled;
   static const WinogradConv winograd;
   static const DepthwiseConv depthwise;
   static const WinogradConv winograd_4x4(WinogradTile::kF4);
   static const QuantizedGemmConv unrolling_int8;
-  static const QuantizedImplicitGemmConv implicit_int8;
   static const ConvEngine* const all[] = {
-      &direct,    &unrolling, &implicit,       &fft,
-      &fft_tiled, &winograd,  &depthwise,      &winograd_4x4,
-      &unrolling_int8,        &implicit_int8};
+      &direct,   &unrolling, &fft,          &fft_tiled,
+      &winograd, &depthwise, &winograd_4x4, &unrolling_int8};
   return all;
 }
 

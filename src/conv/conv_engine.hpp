@@ -91,7 +91,7 @@ class ConvEngine {
 
   [[nodiscard]] virtual Strategy strategy() const = 0;
   [[nodiscard]] virtual std::string_view name() const = 0;
-  /// True for the int8 engines: inference-only and lossy, so only
+  /// True for int8 engines: inference-only and lossy, so only
   /// callers that accepted quantization error may pick them.
   [[nodiscard]] virtual bool quantized() const { return false; }
 
@@ -154,8 +154,8 @@ class ConvEngine {
 
 /// Every built-in engine, one shared instance each — the single list of
 /// engines. Order is the autotuner's base search order and the tune-cache
-/// "engines" header: the eight exact fp32 engines, then the two int8
-/// engines. Instances are stateless and thread-compatible.
+/// "engines" header: the seven exact fp32 engines, then the int8 engine.
+/// Instances are stateless and thread-compatible.
 [[nodiscard]] std::span<const ConvEngine* const> registry();
 
 /// The registry engine called `name`; nullptr when there is none.

@@ -11,16 +11,6 @@ using blas::Trans;
 
 namespace {
 
-// One group's geometry, as a standalone ungrouped configuration; the
-// per-image loops below offset channel/filter planes per group.
-ConvConfig group_view(const ConvConfig& cfg) {
-  ConvConfig g = cfg;
-  g.channels = cfg.group_channels();
-  g.filters = cfg.group_filters();
-  g.groups = 1;
-  return g;
-}
-
 // For a 1x1 stride-1 pad-0 convolution, im2col is the identity: the
 // column matrix is (C x OhOw) with OhOw == input^2 — exactly the input
 // plane block, same values, same leading dimension. The GEMMs can then
@@ -33,13 +23,13 @@ bool pointwise(const ConvConfig& cfg) {
 
 }  // namespace
 
-std::shared_ptr<const PackedFilters> pack_gemm_filters(
-    std::string_view format, const ConvConfig& cfg, const Tensor& filters) {
+std::shared_ptr<const PackedFilters> GemmConv::prepack(
+    const ConvConfig& cfg, const Tensor& filters) const {
   check(filters.shape() == cfg.filter_shape(), "filter shape mismatch");
   const std::size_t group_filters = cfg.group_filters();
   const std::size_t ckk = cfg.group_channels() * cfg.kernel * cfg.kernel;
   auto packed = std::make_shared<PackedFilters>();
-  packed->format = format;
+  packed->format = name();
   packed->source = filters.data().data();
   packed->panels.reserve(cfg.groups);
   for (std::size_t g = 0; g < cfg.groups; ++g) {
@@ -55,7 +45,7 @@ void GemmConv::run_forward(const ConvConfig& cfg, const Tensor& input,
                            const Epilogue& epilogue) const {
   const PackedFilters* packed = own_pack(epilogue, cfg.groups);
   const float* bias = epilogue.bias.empty() ? nullptr : epilogue.bias.data();
-  const ConvConfig gv = group_view(cfg);
+  const ConvConfig gv = cfg.group_view();
   const std::size_t o = cfg.output();
   const std::size_t ckk = gv.channels * cfg.kernel * cfg.kernel;
   const std::size_t cols = o * o;
@@ -98,7 +88,7 @@ void GemmConv::backward_data(const ConvConfig& cfg, const Tensor& grad_output,
         "grad_output shape mismatch");
   check(filters.shape() == cfg.filter_shape(), "filter shape mismatch");
   check(grad_input.shape() == cfg.input_shape(), "grad_input shape mismatch");
-  const ConvConfig gv = group_view(cfg);
+  const ConvConfig gv = cfg.group_view();
   const std::size_t o = cfg.output();
   const std::size_t ckk = gv.channels * cfg.kernel * cfg.kernel;
   const std::size_t cols = o * o;
@@ -133,7 +123,7 @@ void GemmConv::backward_filter(const ConvConfig& cfg, const Tensor& input,
         "grad_output shape mismatch");
   check(grad_filters.shape() == cfg.filter_shape(),
         "grad_filters shape mismatch");
-  const ConvConfig gv = group_view(cfg);
+  const ConvConfig gv = cfg.group_view();
   const std::size_t o = cfg.output();
   const std::size_t ckk = gv.channels * cfg.kernel * cfg.kernel;
   const std::size_t cols = o * o;

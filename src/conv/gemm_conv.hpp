@@ -8,11 +8,6 @@
 
 namespace gpucnn::conv {
 
-/// The GEMM engines' weight layout: per group, W_g (F_g x CKK) packed as
-/// the forward GEMM's A operand, tagged with the consuming engine's name.
-[[nodiscard]] std::shared_ptr<const PackedFilters> pack_gemm_filters(
-    std::string_view format, const ConvConfig& cfg, const Tensor& filters);
-
 class GemmConv final : public ConvEngine {
  public:
   [[nodiscard]] Strategy strategy() const override {
@@ -23,10 +18,9 @@ class GemmConv final : public ConvEngine {
     return true;
   }
 
+  /// Per group, W_g (F_g x CKK) packed as the forward GEMM's A operand.
   [[nodiscard]] std::shared_ptr<const PackedFilters> prepack(
-      const ConvConfig& cfg, const Tensor& filters) const override {
-    return pack_gemm_filters(name(), cfg, filters);
-  }
+      const ConvConfig& cfg, const Tensor& filters) const override;
   void backward_data(const ConvConfig& cfg, const Tensor& grad_output,
                      const Tensor& filters, Tensor& grad_input) const override;
   void backward_filter(const ConvConfig& cfg, const Tensor& input,

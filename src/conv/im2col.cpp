@@ -10,8 +10,8 @@ namespace gpucnn::conv {
 namespace {
 
 // For one (ky/kx, output-row) combination, the x loop splits into a
-// zero prefix (ix < pad), a dense middle where every tap is in bounds,
-// and a zero suffix (ix >= in + pad). Precomputing the split turns the
+// padding prefix (ix < pad), a dense middle where every tap is in
+// bounds, and a padding suffix (ix >= in + pad). Precomputing the split turns the
 // per-element bounds checks of the naive loop into memset/memcpy (or a
 // strided copy when stride > 1), which is what "vectorised im2col"
 // means on a CPU: the copies saturate the load/store units.
@@ -31,15 +31,11 @@ XSplit x_split(std::size_t o, std::size_t in, std::size_t s, std::size_t p,
   return {std::min(lo, hi), hi};
 }
 
-}  // namespace
-
-std::size_t col_buffer_size(const ConvConfig& cfg) {
-  const std::size_t o = cfg.output();
-  return cfg.channels * cfg.kernel * cfg.kernel * o * o;
-}
-
-void im2col(const ConvConfig& cfg, std::span<const float> input,
-            std::span<float> col) {
+// The one im2col body. Pads are memset fills of the byte `pad`: 0 gives
+// fp32's 0.0F, and a uint8 pad is its own byte.
+template <typename T>
+void lower(const ConvConfig& cfg, std::span<const T> input, std::span<T> col,
+           std::uint8_t pad) {
   const std::size_t o = cfg.output();
   const std::size_t in = cfg.input;
   const std::size_t k = cfg.kernel;
@@ -51,35 +47,52 @@ void im2col(const ConvConfig& cfg, std::span<const float> input,
   // Each channel writes a disjoint k*k*o*o block of `col`; lowering a
   // many-channel layer spreads planes across the pool.
   parallel_for(0, cfg.channels, [&](std::size_t c) {
-    const float* plane = input.data() + c * in * in;
-    float* dst = col.data() + c * k * k * o * o;
+    const T* plane = input.data() + c * in * in;
+    T* dst = col.data() + c * k * k * o * o;
     for (std::size_t ky = 0; ky < k; ++ky) {
       for (std::size_t kx = 0; kx < k; ++kx) {
         const auto [x_lo, x_hi] = x_split(o, in, s, p, kx);
         for (std::size_t y = 0; y < o; ++y, dst += o) {
           const std::size_t iy = y * s + ky;
           if (iy < p || iy >= in + p) {
-            std::memset(dst, 0, o * sizeof(float));
+            std::memset(dst, pad, o * sizeof(T));
             continue;
           }
-          const float* in_row = plane + (iy - p) * in;
-          if (x_lo > 0) std::memset(dst, 0, x_lo * sizeof(float));
+          const T* in_row = plane + (iy - p) * in;
+          if (x_lo > 0) std::memset(dst, pad, x_lo * sizeof(T));
           if (s == 1) {
             // ix - p = x + kx - p is consecutive in x: one dense copy.
-            std::memcpy(dst + x_lo, in_row + (x_lo + kx - p),
-                        (x_hi - x_lo) * sizeof(float));
+            if (x_hi > x_lo) {
+              std::memcpy(dst + x_lo, in_row + (x_lo + kx - p),
+                          (x_hi - x_lo) * sizeof(T));
+            }
           } else {
             for (std::size_t x = x_lo; x < x_hi; ++x) {
               dst[x] = in_row[x * s + kx - p];
             }
           }
-          if (x_hi < o) {
-            std::memset(dst + x_hi, 0, (o - x_hi) * sizeof(float));
-          }
+          if (x_hi < o) std::memset(dst + x_hi, pad, (o - x_hi) * sizeof(T));
         }
       }
     }
   });
+}
+
+}  // namespace
+
+std::size_t col_buffer_size(const ConvConfig& cfg) {
+  const std::size_t o = cfg.output();
+  return cfg.channels * cfg.kernel * cfg.kernel * o * o;
+}
+
+void im2col(const ConvConfig& cfg, std::span<const float> input,
+            std::span<float> col) {
+  lower(cfg, input, col, 0);
+}
+
+void im2col(const ConvConfig& cfg, std::span<const std::uint8_t> input,
+            std::span<std::uint8_t> col, std::uint8_t pad) {
+  lower(cfg, input, col, pad);
 }
 
 void col2im(const ConvConfig& cfg, std::span<const float> col,

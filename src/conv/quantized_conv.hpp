@@ -1,18 +1,17 @@
-// Int8 quantized convolution forwards (inference only).
+// Int8 quantized convolution forward (inference only).
 //
-// Two algorithm shapes mirror the fp32 engines: an im2col + int8-GEMM
-// path (QuantizedGemmConv) and a tiled implicit-GEMM path
-// (QuantizedImplicitGemmConv). Both are *adapters*: fp32 tensors in,
-// fp32 tensors out, quantizing internally — so they are drop-in
-// candidates for the autotuner's timing harness and the fuzzer's
-// cross-checks. The engine forms quantize dynamically per call
+// The fp32 unrolling engine's algorithm over quantized operands: the
+// shared im2col lowering, then an int8 GEMM. QuantizedGemmConv is an
+// *adapter*: fp32 tensors in, fp32 tensors out, quantizing internally —
+// so it is a drop-in candidate for the autotuner's timing harness and
+// the fuzzer's cross-checks. The engine quantizes dynamically per call
 // (per-channel weights, per-tensor activations from the batch's own
-// min/max); QuantizedConvLayer instead calls the *_forward free
-// functions below with offline-quantized weights and a calibrated
-// activation scale, skipping the per-call weight pass.
+// min/max); QuantizedConvLayer instead calls quantized_gemm_forward
+// below with offline-quantized weights and a calibrated activation
+// scale, skipping the per-call weight pass.
 //
 // Backward passes throw: quantization is an inference transform, and
-// the autotuner only ever offers these engines for the forward pass.
+// the autotuner only ever offers this engine for the forward pass.
 #pragma once
 
 #include "conv/conv_engine.hpp"
@@ -54,14 +53,6 @@ void quantized_gemm_forward(const ConvConfig& cfg, const Tensor& input,
                             std::span<const float> bias, bool relu,
                             Tensor& output);
 
-/// Tiled implicit-GEMM forward (groups == 1 only), same contract.
-void quantized_implicit_forward(const ConvConfig& cfg, const Tensor& input,
-                                const quant::QuantizedFilters& qw,
-                                const PackedQFilters* packed,
-                                const quant::ActQuant& aq,
-                                std::span<const float> bias, bool relu,
-                                Tensor& output);
-
 /// Dynamic-quantizing engine adapter over quantized_gemm_forward.
 class QuantizedGemmConv final : public ConvEngine {
  public:
@@ -74,31 +65,6 @@ class QuantizedGemmConv final : public ConvEngine {
   [[nodiscard]] bool quantized() const override { return true; }
   [[nodiscard]] bool supports(const ConvConfig&) const override {
     return true;
-  }
-
-  [[noreturn]] void backward_data(const ConvConfig&, const Tensor&,
-                                  const Tensor&, Tensor&) const override;
-  [[noreturn]] void backward_filter(const ConvConfig&, const Tensor&,
-                                    const Tensor&, Tensor&) const override;
-
- private:
-  void run_forward(const ConvConfig& cfg, const Tensor& input,
-                   const Tensor& filters, Tensor& output,
-                   const Epilogue& epilogue) const override;
-};
-
-/// Dynamic-quantizing engine adapter over quantized_implicit_forward.
-class QuantizedImplicitGemmConv final : public ConvEngine {
- public:
-  [[nodiscard]] Strategy strategy() const override {
-    return Strategy::kUnrolling;
-  }
-  [[nodiscard]] std::string_view name() const override {
-    return "implicit-int8";
-  }
-  [[nodiscard]] bool quantized() const override { return true; }
-  [[nodiscard]] bool supports(const ConvConfig& cfg) const override {
-    return cfg.groups == 1;
   }
 
   [[noreturn]] void backward_data(const ConvConfig&, const Tensor&,

@@ -60,6 +60,16 @@ struct ConvConfig {
   [[nodiscard]] std::size_t group_filters() const {
     return filters / groups;
   }
+  /// One group's geometry as a standalone ungrouped configuration; a
+  /// per-group loop offsets channel and filter planes by group and runs
+  /// this view.
+  [[nodiscard]] ConvConfig group_view() const {
+    ConvConfig g = *this;
+    g.channels = group_channels();
+    g.filters = group_filters();
+    g.groups = 1;
+    return g;
+  }
 
   [[nodiscard]] TensorShape input_shape() const {
     return {batch, channels, input, input};

@@ -114,14 +114,8 @@ void QuantizedConvLayer::forward(const Tensor& in, Tensor& out) {
                    {.bias = bias_.data(), .relu = fused_relu_});
     return;
   }
-  if (tuned != nullptr && tuned->name() == "implicit-int8" &&
-      cfg.groups == 1) {
-    conv::quantized_implicit_forward(cfg, in, qweights_, qprepacked_.get(),
-                                     aq, bias_.data(), fused_relu_, out);
-  } else {
-    conv::quantized_gemm_forward(cfg, in, qweights_, qprepacked_.get(), aq,
-                                 bias_.data(), fused_relu_, out);
-  }
+  conv::quantized_gemm_forward(cfg, in, qweights_, qprepacked_.get(), aq,
+                               bias_.data(), fused_relu_, out);
 }
 
 void QuantizedConvLayer::backward(const Tensor&, const Tensor&, Tensor&) {

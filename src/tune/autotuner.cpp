@@ -126,7 +126,7 @@ std::vector<const conv::ConvEngine*> prior_order(const ConvConfig& cfg,
               return a->runtime_ms < b->runtime_ms;
             });
   // Each ranked strategy brings every engine implementing it, in
-  // registry order (e.g. im2col GEMM, then its zero-workspace variant).
+  // registry order (e.g. the FFT engine, then its tiled variant).
   for (const auto* r : ranked) {
     const conv::Strategy s = frameworks::framework(r->framework).strategy();
     for (const conv::ConvEngine* e : conv::registry()) {

@@ -56,9 +56,8 @@ TEST(ConvFuzz, Int8BatchFindsNoFailures) {
   options.int8 = true;
   const FuzzReport report = run_fuzz(options);
   EXPECT_EQ(report.configs_run, options.count);
-  // Every config gets the two unrolling-int8 variants; groups == 1
-  // configs add the two implicit-int8 ones.
-  EXPECT_GE(report.int8_checks, 2 * options.count);
+  // Every config gets the two unrolling-int8 variants.
+  EXPECT_EQ(report.int8_checks, 2 * options.count);
   for (const auto& failure : report.failures) {
     ADD_FAILURE() << '[' << failure.index << "] "
                   << failure.config.to_string() << ": " << failure.what
@@ -71,7 +70,7 @@ TEST(ConvFuzz, Int8BatchFindsNoFailures) {
 TEST(ConvFuzz, PrepackBatchFindsNoFailures) {
   // 40 adversarial configs through the prepacked-vs-staged bit-identity
   // cross-check (every registry engine with its own pack and with other
-  // engines' packs, plus both int8 paths).
+  // engines' packs, plus the int8 path).
   FuzzOptions options;
   options.seed = 1;
   options.count = 40;
@@ -79,8 +78,8 @@ TEST(ConvFuzz, PrepackBatchFindsNoFailures) {
   options.prepack = true;
   const FuzzReport report = run_fuzz(options);
   EXPECT_EQ(report.configs_run, options.count);
-  // Every config gets the two unrolling variants in fp32 and int8;
-  // groups == 1 configs add the four implicit ones.
+  // Every config gets the two unrolling variants in fp32 and int8, and
+  // more for the other engines with a prepacked path.
   EXPECT_GE(report.prepack_checks, 4 * options.count);
   for (const auto& failure : report.failures) {
     ADD_FAILURE() << '[' << failure.index << "] "

@@ -170,9 +170,8 @@ TEST(EngineRegistry, ListsEveryEngineOnceInTuneOrder) {
   std::vector<std::string_view> names;
   for (const ConvEngine* e : registry()) names.push_back(e->name());
   const std::vector<std::string_view> expected = {
-      "direct",    "unrolling", "implicit-gemm", "fft",
-      "fft-tiled", "winograd",  "depthwise",     "winograd-f4",
-      "unrolling-int8",         "implicit-int8"};
+      "direct",   "unrolling", "fft",         "fft-tiled",
+      "winograd", "depthwise", "winograd-f4", "unrolling-int8"};
   EXPECT_EQ(names, expected);
   for (const ConvEngine* e : registry()) {
     EXPECT_EQ(find_engine(e->name()), e) << e->name();

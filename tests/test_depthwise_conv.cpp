@@ -153,17 +153,9 @@ TEST(DepthwiseSupports, OnlyDepthwiseDegenerateGroupings) {
 // GemmConv's staged lowering spelled out, per image and group: im2col
 // then sgemm (bias + ReLU in its epilogue) forward, sgemm then col2im
 // backward-data, im2col then sgemm backward-filter.
-ConvConfig one_group(const ConvConfig& cfg) {
-  ConvConfig g = cfg;
-  g.channels = cfg.group_channels();
-  g.filters = cfg.group_filters();
-  g.groups = 1;
-  return g;
-}
-
 void staged_forward(const ConvConfig& cfg, const Tensor& x, const Tensor& w,
                     std::span<const float> bias, bool relu, Tensor& y) {
-  const ConvConfig gv = one_group(cfg);
+  const ConvConfig gv = cfg.group_view();
   const std::size_t ckk = gv.channels * cfg.kernel * cfg.kernel;
   const std::size_t cols = cfg.output() * cfg.output();
   std::vector<float> col(col_buffer_size(gv));
@@ -186,7 +178,7 @@ void staged_forward(const ConvConfig& cfg, const Tensor& x, const Tensor& w,
 
 void staged_backward_data(const ConvConfig& cfg, const Tensor& gout,
                           const Tensor& w, Tensor& gx) {
-  const ConvConfig gv = one_group(cfg);
+  const ConvConfig gv = cfg.group_view();
   const std::size_t ckk = gv.channels * cfg.kernel * cfg.kernel;
   const std::size_t cols = cfg.output() * cfg.output();
   std::vector<float> col(col_buffer_size(gv));
@@ -206,7 +198,7 @@ void staged_backward_data(const ConvConfig& cfg, const Tensor& gout,
 
 void staged_backward_filter(const ConvConfig& cfg, const Tensor& x,
                             const Tensor& gout, Tensor& gw) {
-  const ConvConfig gv = one_group(cfg);
+  const ConvConfig gv = cfg.group_view();
   const std::size_t ckk = gv.channels * cfg.kernel * cfg.kernel;
   const std::size_t cols = cfg.output() * cfg.output();
   std::vector<float> col(col_buffer_size(gv));

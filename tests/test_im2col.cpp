@@ -2,12 +2,47 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "core/rng.hpp"
 
 namespace gpucnn::conv {
 namespace {
+
+// The lowering element by element: row (c*k + ky)*k + kx, column
+// y*o + x holds input(c, y*s + ky - p, x*s + kx - p), or `pad` outside
+// the image.
+template <typename T>
+std::vector<T> naive_im2col(const ConvConfig& cfg, const std::vector<T>& in,
+                            T pad) {
+  const std::size_t o = cfg.output();
+  const std::size_t k = cfg.kernel;
+  std::vector<T> col(col_buffer_size(cfg));
+  for (std::size_t c = 0; c < cfg.channels; ++c) {
+    for (std::size_t ky = 0; ky < k; ++ky) {
+      for (std::size_t kx = 0; kx < k; ++kx) {
+        for (std::size_t y = 0; y < o; ++y) {
+          for (std::size_t x = 0; x < o; ++x) {
+            // Signed: a tap left of or above the image reads the pad.
+            const auto iy = static_cast<long>(y * cfg.stride + ky) -
+                            static_cast<long>(cfg.pad);
+            const auto ix = static_cast<long>(x * cfg.stride + kx) -
+                            static_cast<long>(cfg.pad);
+            const auto n = static_cast<long>(cfg.input);
+            const bool inside = iy >= 0 && iy < n && ix >= 0 && ix < n;
+            col[(((c * k + ky) * k + kx) * o + y) * o + x] =
+                inside ? in[(c * cfg.input + static_cast<std::size_t>(iy)) *
+                                cfg.input +
+                            static_cast<std::size_t>(ix)]
+                       : pad;
+          }
+        }
+      }
+    }
+  }
+  return col;
+}
 
 TEST(Im2col, BufferSizeFormula) {
   const ConvConfig cfg{.batch = 1, .input = 5, .channels = 2, .filters = 1,
@@ -84,6 +119,56 @@ TEST(Im2col, SizeValidation) {
   std::vector<float> input(15);  // wrong: should be 16
   std::vector<float> col(col_buffer_size(cfg));
   EXPECT_THROW(im2col(cfg, input, col), Error);
+}
+
+// Three-channel geometries over strides 1–3 and pads 0–3, kernels up to
+// 7 over images down to one pixel.
+std::vector<ConvConfig> sweep_configs() {
+  constexpr std::size_t kKernels[] = {1, 2, 3, 5, 7};
+  constexpr std::size_t kInputs[] = {1, 2, 5, 9};
+  std::vector<ConvConfig> configs;
+  for (std::size_t stride = 1; stride <= 3; ++stride) {
+    for (std::size_t pad = 0; pad <= 3; ++pad) {
+      for (const std::size_t kernel : kKernels) {
+        for (const std::size_t input : kInputs) {
+          if (input + 2 * pad < kernel) continue;
+          configs.push_back({.batch = 1, .input = input, .channels = 3,
+                             .filters = 1, .kernel = kernel,
+                             .stride = stride, .pad = pad});
+        }
+      }
+    }
+  }
+  return configs;
+}
+
+TEST(Im2col, Uint8AndFloatMatchNaiveReference) {
+  // Both overloads share one body. The uint8 one pads with the
+  // activation zero point; image values stay below it, so a tap that
+  // copies where it should pad (or the reverse) cannot match by accident.
+  constexpr std::uint8_t kPad = 200;
+  Rng rng(11);
+  std::size_t overhanging = 0;
+  for (const ConvConfig& cfg : sweep_configs()) {
+    SCOPED_TRACE(cfg.to_string());
+    // The kernel overhangs the image plus its left pad: some tap
+    // columns read only padding.
+    if (cfg.kernel > cfg.input + cfg.pad) ++overhanging;
+    const std::size_t elems = cfg.channels * cfg.input * cfg.input;
+
+    std::vector<std::uint8_t> in_u8(elems);
+    for (auto& v : in_u8) v = static_cast<std::uint8_t>(rng.uniform_int(kPad));
+    std::vector<std::uint8_t> col_u8(col_buffer_size(cfg), 0);
+    im2col(cfg, in_u8, col_u8, kPad);
+    ASSERT_EQ(col_u8, naive_im2col(cfg, in_u8, kPad));
+
+    std::vector<float> in_f32(elems);
+    for (auto& v : in_f32) v = static_cast<float>(rng.uniform(1.0, 2.0));
+    std::vector<float> col_f32(col_buffer_size(cfg), -1.0F);
+    im2col(cfg, in_f32, col_f32);
+    ASSERT_EQ(col_f32, naive_im2col(cfg, in_f32, 0.0F));
+  }
+  EXPECT_GT(overhanging, 0U);
 }
 
 TEST(Col2im, IsAdjointOfIm2col) {

@@ -31,8 +31,7 @@ double quant_tolerance(const ConvConfig& cfg, float act_absmax,
   return k * per_term;  // no slack: the bound itself is already loose
 }
 
-void expect_quantized_close_to_fp32(const ConvConfig& cfg, bool implicit,
-                                    bool relu) {
+void expect_quantized_close_to_fp32(const ConvConfig& cfg, bool relu) {
   Rng rng(42);
   Tensor input(cfg.input_shape());
   input.fill_uniform(rng, -1.0F, 1.0F);
@@ -53,11 +52,7 @@ void expect_quantized_close_to_fp32(const ConvConfig& cfg, bool implicit,
       quant::quantize_filters(filters.data(), cfg.filters, ckk);
   const quant::ActQuant aq = quant::choose_act_quant(-1.0F, 1.0F);
   Tensor got(cfg.output_shape());
-  if (implicit) {
-    quantized_implicit_forward(cfg, input, qw, nullptr, aq, bias, relu, got);
-  } else {
-    quantized_gemm_forward(cfg, input, qw, nullptr, aq, bias, relu, got);
-  }
+  quantized_gemm_forward(cfg, input, qw, nullptr, aq, bias, relu, got);
 
   const double tol = quant_tolerance(cfg, 1.0F, 0.5F);
   const auto w = want.data();
@@ -74,28 +69,19 @@ void expect_quantized_close_to_fp32(const ConvConfig& cfg, bool implicit,
 TEST(QuantizedConvTest, GemmPathTracksFp32WithinQuantTolerance) {
   const ConvConfig cfg{.batch = 2, .input = 12, .channels = 3, .filters = 8,
                        .kernel = 3, .stride = 1, .pad = 1, .groups = 1};
-  expect_quantized_close_to_fp32(cfg, /*implicit=*/false, /*relu=*/false);
-  expect_quantized_close_to_fp32(cfg, /*implicit=*/false, /*relu=*/true);
-}
-
-TEST(QuantizedConvTest, ImplicitPathTracksFp32WithinQuantTolerance) {
-  const ConvConfig cfg{.batch = 2, .input = 12, .channels = 3, .filters = 8,
-                       .kernel = 3, .stride = 1, .pad = 1, .groups = 1};
-  expect_quantized_close_to_fp32(cfg, /*implicit=*/true, /*relu=*/false);
-  expect_quantized_close_to_fp32(cfg, /*implicit=*/true, /*relu=*/true);
+  expect_quantized_close_to_fp32(cfg, /*relu=*/false);
+  expect_quantized_close_to_fp32(cfg, /*relu=*/true);
 }
 
 TEST(QuantizedConvTest, GemmPathSupportsGroupsAndStride) {
   const ConvConfig grouped{.batch = 1, .input = 10, .channels = 4,
                            .filters = 8, .kernel = 3, .stride = 1,
                            .pad = 1, .groups = 2};
-  expect_quantized_close_to_fp32(grouped, /*implicit=*/false,
-                                 /*relu=*/false);
+  expect_quantized_close_to_fp32(grouped, /*relu=*/false);
   const ConvConfig strided{.batch = 1, .input = 11, .channels = 3,
                            .filters = 6, .kernel = 5, .stride = 2,
                            .pad = 2, .groups = 1};
-  expect_quantized_close_to_fp32(strided, /*implicit=*/false,
-                                 /*relu=*/true);
+  expect_quantized_close_to_fp32(strided, /*relu=*/true);
 }
 
 TEST(QuantizedConvTest, EngineAdaptersAreForwardOnly) {

@@ -64,7 +64,7 @@ TEST_F(TunerFixture, EligibilityRespectsEngineShapeLimits) {
   ConvConfig strided = small_config();
   strided.stride = 2;
   const auto timings = tuner_->measure_all(strided, Pass::kForward);
-  ASSERT_EQ(timings.size(), 8U);
+  ASSERT_EQ(timings.size(), 7U);
   for (const auto& t : timings) {
     // Depthwise is also out: the config is ungrouped multi-channel.
     const bool ineligible = t.engine_name == "fft" ||
@@ -230,24 +230,21 @@ TEST_F(TunerFixture, KeyHashSeparatesDtypes) {
 }
 
 TEST_F(TunerFixture, Int8PoolOnlyExtendsTheForwardPass) {
-  // The int8 engines join the candidate pool for (kForward, kInt8) only:
-  // fp32 callers keep the exact eight engines, and no backward pass ever
+  // The int8 engine joins the candidate pool for (kForward, kInt8) only:
+  // fp32 callers keep the exact seven engines, and no backward pass ever
   // sees an inference-only engine.
   const ConvConfig cfg = small_config();
-  EXPECT_EQ(tuner_->measure_all(cfg, Pass::kForward).size(), 8U);
+  EXPECT_EQ(tuner_->measure_all(cfg, Pass::kForward).size(), 7U);
   EXPECT_EQ(tuner_->measure_all(cfg, Pass::kBackwardData, Dtype::kInt8)
                 .size(),
-            8U);
+            7U);
   const auto timings = tuner_->measure_all(cfg, Pass::kForward, Dtype::kInt8);
-  ASSERT_EQ(timings.size(), 10U);
+  ASSERT_EQ(timings.size(), 8U);
   bool unrolling_int8 = false;
-  bool implicit_int8 = false;
   for (const auto& t : timings) {
     unrolling_int8 |= t.engine_name == "unrolling-int8";
-    implicit_int8 |= t.engine_name == "implicit-int8";
   }
   EXPECT_TRUE(unrolling_int8);
-  EXPECT_TRUE(implicit_int8);
 }
 
 TEST_F(TunerFixture, Int8DecisionsMemoizeSeparatelyAndRoundTrip) {

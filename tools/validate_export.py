@@ -36,9 +36,8 @@ TUNE_ENTRY_FIELDS = {"batch", "input", "channels", "filters", "kernel",
                      "engine", "best_ms", "baseline_ms"}
 TUNE_PASSES = {"forward", "backward-data", "backward-filter"}
 TUNE_DTYPES = {"fp32", "int8"}
-TUNE_ENGINES = {"direct", "unrolling", "implicit-gemm", "fft", "fft-tiled",
-                "winograd", "winograd-f4", "depthwise", "unrolling-int8",
-                "implicit-int8"}
+TUNE_ENGINES = {"direct", "unrolling", "fft", "fft-tiled", "winograd",
+                "winograd-f4", "depthwise", "unrolling-int8"}
 
 
 class Failure(Exception):
