@@ -6,7 +6,8 @@
 //   * im2col lowering throughput;
 //   * the three convolution strategies head-to-head on one geometry —
 //     the CPU mirror of Fig. 3(d)'s strategy crossover;
-//   * LRN forward and backward at GoogLeNet's batch-1 shapes.
+//   * LRN forward and backward at GoogLeNet's batch-1 shapes;
+//   * the zoo's batch-1 GEMM shapes on one core and on the whole pool.
 //
 // Beyond the stock google-benchmark flags the binary understands
 //   --quick                    short run (--benchmark_min_time=0.01[s],
@@ -37,6 +38,7 @@
 #include "core/cpu_features.hpp"
 #include "core/rng.hpp"
 #include "core/tensor.hpp"
+#include "core/thread_pool.hpp"
 #include "conv/fft_conv.hpp"
 #include "fft/fft.hpp"
 #include "fft/rfft.hpp"
@@ -674,6 +676,76 @@ void BM_CgemmPointwise(benchmark::State& state) {
 }
 BENCHMARK(BM_CgemmPointwise);
 
+// --- zoo GEMMs on one core and on all ------------------------------
+// The batch-1 GEMM shapes of the zoo's convs and classifiers, in their
+// frozen steady state (conv weights prepacked as A, classifier weights
+// as B). BM_ZooGemmOneCore runs the call inside a pool task, where every
+// dispatch runs inline; BM_ZooGemm runs it from the caller on the whole
+// pool. main() pairs them into the BENCH_zoo_gemm table.
+
+struct ZooGemm {
+  std::size_t m, n, k;
+  bool classifier;  ///< in(1 x k) * W^T: the weights are packed B
+};
+constexpr ZooGemm kZooGemms[] = {
+    {32, 12544, 27, false},   // MobileNet conv1 (3x3/s2 im2col)
+    {64, 12544, 32, false},   // MobileNet conv2/pw
+    {128, 3136, 64, false},   // MobileNet conv3/pw
+    {128, 3136, 128, false},  // MobileNet conv4/pw
+    {64, 12544, 147, false},  // GoogLeNet 7x7/s2 stem
+    {192, 784, 576, false},   // 3x3 conv at 28x28
+    {512, 196, 512, false},   // MobileNet conv8-12/pw, M >= 4 x MC
+    {1, 1000, 1024, true},    // MobileNet classifier
+};
+
+std::string zoo_gemm_name(const ZooGemm& g) {
+  return std::to_string(g.m) + "x" + std::to_string(g.n) + "x" +
+         std::to_string(g.k);
+}
+
+void zoo_gemm_bench(benchmark::State& state, bool one_core) {
+  const ZooGemm& g = kZooGemms[static_cast<std::size_t>(state.range(0))];
+  const auto a = random_vec(g.m * g.k, 1);
+  const auto b = random_vec(g.k * g.n, 2);
+  std::vector<float> c(g.m * g.n);
+  // Classifier: b holds W (n x k) and op(B) = W^T; conv: a holds W.
+  const auto trans_b = g.classifier ? blas::Trans::kYes : blas::Trans::kNo;
+  const std::size_t ldb = g.classifier ? g.k : g.n;
+  const blas::PackedMatrix pack =
+      g.classifier ? blas::pack_b(trans_b, g.k, g.n, b, ldb)
+                   : blas::pack_a(blas::Trans::kNo, g.m, g.k, a, g.k);
+  const auto call = [&] {
+    blas::sgemm(blas::Trans::kNo, trans_b, g.m, g.n, g.k, 1.0F, a, g.k, b,
+                ldb, 0.0F, c, g.n, {}, &pack);
+  };
+  for (auto _ : state) {
+    if (one_core) {
+      parallel_for_chunks(0, 1, [&](std::size_t, std::size_t) { call(); });
+    } else {
+      call();
+    }
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      blas::gemm_flops(g.m, g.n, g.k) *
+          static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
+void BM_ZooGemmOneCore(benchmark::State& state) {
+  zoo_gemm_bench(state, /*one_core=*/true);
+}
+void BM_ZooGemm(benchmark::State& state) {
+  zoo_gemm_bench(state, /*one_core=*/false);
+}
+BENCHMARK(BM_ZooGemmOneCore)
+    ->DenseRange(0, std::size(kZooGemms) - 1)
+    ->UseRealTime();
+BENCHMARK(BM_ZooGemm)
+    ->DenseRange(0, std::size(kZooGemms) - 1)
+    ->UseRealTime();
+
 // --- LRN -------------------------------------------------------------
 
 /// GoogLeNet's two LRN layers at batch 1: lrn1 (arg 0) and lrn2 (arg 1),
@@ -833,6 +905,7 @@ int main(int argc, char** argv) {
   Rows int8_rows;
   Rows prepack_rows;
   Rows winograd_rows;
+  Rows zoo_gemm_rows;
   for (const int n : {128, 256, 512}) {
     const std::string size = std::to_string(n);
     add_pair(int8_rows, "gemm/" + size, "BM_SgemmBlocked/" + size,
@@ -853,6 +926,12 @@ int main(int argc, char** argv) {
              "BM_WinogradConvForwardF2/" + std::to_string(i));
     add_pair(winograd_rows, "conv-f4/" + shape, fp32,
              "BM_WinogradConvForwardF4/" + std::to_string(i));
+  }
+  // BENCH_zoo_gemm: what spreading a zoo GEMM over the pool buys.
+  for (std::size_t i = 0; i < std::size(kZooGemms); ++i) {
+    const std::string arg = "/" + std::to_string(i);
+    add_pair(zoo_gemm_rows, zoo_gemm_name(kZooGemms[i]),
+             "BM_ZooGemmOneCore" + arg, "BM_ZooGemm" + arg);
   }
 
   gpucnn::obs::RunExporter exporter(options, "bench_cpu_kernels");
@@ -887,6 +966,13 @@ int main(int argc, char** argv) {
       "(speedup = gemm_real_ns / winograd_real_ns)",
       {"case", "gemm_real_ns", "winograd_real_ns", "speedup"},
       winograd_rows);
+  exporter.add_table(
+      "BENCH_zoo_gemm",
+      "model-zoo batch-1 GEMM shapes (MxNxK, prepacked weights) inside one "
+      "pool task vs on the whole pool (speedup = one_core_real_ns / "
+      "all_cores_real_ns)",
+      {"case", "one_core_real_ns", "all_cores_real_ns", "speedup"},
+      zoo_gemm_rows);
   exporter.finish();
   return 0;
 }

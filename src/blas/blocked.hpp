@@ -3,9 +3,10 @@
 // Private to src/blas/.
 //
 // C is updated in mr x nr micro tiles. For each NC-column window and
-// KC-deep k block, op(B) is packed once into nr-column panels (tiles in
-// parallel) and shared by every row block; row blocks of MC rows then
-// run in parallel, each packing its mr-row panels of op(A). A panel
+// KC-deep k block, op(B) is packed once into nr-column panels and shared
+// by every row block of MC rows, each packing its mr-row panels of
+// op(A). The work spreads over row blocks, or over runs of column tiles
+// when there are too few row blocks (see run_blocked). A panel
 // holds kcs = round_up(kc, kStepK) k steps of one tile; panel_offset is
 // where a whole operand's pack (a Packed<T>) keeps each one, and both
 // the pack builder and the loop nest use it, which keeps prepacked
@@ -175,6 +176,19 @@ struct PackBuilder {
 /// fails pack_usable (stale SIMD level, another role, other dims) is
 /// demoted to staged packing from `a` / `b`, so every call runs one code
 /// shape.
+///
+/// The multiply is partitioned per shape, in one dispatch either way:
+///   * M-split: row blocks of MC rows run in parallel against one B pack
+///     per column window and k block, itself packed tiles in parallel;
+///   * N-split, when there are fewer row blocks than workers and more
+///     column tiles than row blocks: each task takes a run of whole nr
+///     column tiles, packs (or slices) its own B panels, and runs every
+///     row block against them, staging A itself.
+/// Both run the same window loop below; only whether it fans out
+/// differs. Every tile sees the same panels and the same k-block order
+/// either way, so the two partitions are bit-identical. Inside a pool
+/// task the width is 1: the M-split loop runs on that thread, in the
+/// order it always had, and makes no nested dispatch.
 template <typename F, typename WriteBack>
 void run_blocked(std::size_t m, std::size_t n, std::size_t k,
                  const Operand<typename F::A>& a,
@@ -204,69 +218,97 @@ void run_blocked(std::size_t m, std::size_t n, std::size_t k,
   // a window's panels are a contiguous pack slice).
   const std::size_t a_tiles_total = ceil_div(m, mr);
   const std::size_t b_tiles_total = ceil_div(n, nr);
+  const std::size_t row_blocks = ceil_div(m, F::kMc);
+  const std::size_t window_tiles = F::kNc / nr;
 
-  for (std::size_t jc = 0, nc = 0; jc < n; jc += nc) {
-    nc = std::min(F::kNc, n - jc);
-    const std::size_t n_tiles = ceil_div(nc, nr);
-    for (std::size_t pc = 0; pc < k; pc += F::kKc) {
-      const std::size_t kc = std::min(F::kKc, k - pc);
-      const std::size_t kcs = detail::stored_k<F>(kc);
-      const std::size_t block = pc / F::kKc;  // k-block index into packs
-      const bool first_k = pc == 0;
-      const bool last_k = pc + kc == k;
-
-      // Pack the window's B panels once (tiles in parallel) — or take
-      // the k block's slice of the prepacked panels; row blocks of A
-      // then proceed in parallel against the shared panels.
-      ws::Scratch<B> staged_b(pb == nullptr ? n_tiles * kcs * nr : 0);
-      const B* b_panels = staged_b.data();
-      if (pb == nullptr) {
-        parallel_for(
-            0, n_tiles,
-            [&](std::size_t t) {
-              const std::size_t j0 = jc + t * nr;
-              F::pack_b(b, pc, kc, j0, std::min(nr, n - j0), nr,
-                        staged_b.data() + t * kcs * nr);
-            },
-            /*serial_threshold=*/8);
-        pack_stat<F, PackStat::kBytesPackedB>().add(
-            static_cast<std::int64_t>(n_tiles * kcs * nr * sizeof(B)));
-      } else {
-        b_panels = pb->data() +
-                   panel_offset<F>(block, b_tiles_total, nr, jc / nr, kcs);
+  // One k block of the row block at `ic` against column tiles
+  // [t0, t0 + tiles), whose B panels start at `b_panels`: stage the row
+  // block's A panels (or take the pack's slice), then run its tiles.
+  const auto row_block = [&](std::size_t ic, std::size_t pc, std::size_t t0,
+                             std::size_t tiles, const B* b_panels) {
+    const std::size_t kc = std::min(F::kKc, k - pc);
+    const std::size_t kcs = detail::stored_k<F>(kc);
+    const std::size_t m_tiles = ceil_div(std::min(F::kMc, m - ic), mr);
+    ws::Scratch<A> staged_a(pa == nullptr ? m_tiles * kcs * mr : 0);
+    const A* a_panels = staged_a.data();
+    if (pa == nullptr) {
+      for (std::size_t t = 0; t < m_tiles; ++t) {
+        const std::size_t i0 = ic + t * mr;
+        F::pack_a(a, i0, std::min(mr, m - i0), pc, kc, mr,
+                  staged_a.data() + t * kcs * mr);
       }
-
-      parallel_for(0, ceil_div(m, F::kMc), [&](std::size_t mb) {
-        const std::size_t ic = mb * F::kMc;
-        const std::size_t m_tiles = ceil_div(std::min(F::kMc, m - ic), mr);
-        ws::Scratch<A> staged_a(pa == nullptr ? m_tiles * kcs * mr : 0);
-        const A* a_panels = staged_a.data();
-        if (pa == nullptr) {
-          for (std::size_t t = 0; t < m_tiles; ++t) {
-            const std::size_t i0 = ic + t * mr;
-            F::pack_a(a, i0, std::min(mr, m - i0), pc, kc, mr,
-                      staged_a.data() + t * kcs * mr);
-          }
-          pack_stat<F, PackStat::kBytesPackedA>().add(
-              static_cast<std::int64_t>(m_tiles * kcs * mr * sizeof(A)));
-        } else {
-          a_panels = pa->data() +
-                     panel_offset<F>(block, a_tiles_total, mr, ic / mr, kcs);
-        }
-        alignas(64) typename F::Acc acc[F::kMaxTile];
-        for (std::size_t ti = 0; ti < m_tiles; ++ti) {
-          const std::size_t i0 = ic + ti * mr;
-          const std::size_t im = std::min(mr, m - i0);
-          for (std::size_t tj = 0; tj < n_tiles; ++tj) {
-            const std::size_t j0 = jc + tj * nr;
-            uk.fn(kcs / F::kStepK, a_panels + ti * kcs * mr,
-                  b_panels + tj * kcs * nr, acc);
-            write(acc, nr, i0, im, j0, std::min(nr, n - j0), first_k,
-                  last_k);
-          }
-        }
-      });
+      pack_stat<F, PackStat::kBytesPackedA>().add(
+          static_cast<std::int64_t>(m_tiles * kcs * mr * sizeof(A)));
+    } else {
+      a_panels = pa->data() + panel_offset<F>(pc / F::kKc, a_tiles_total,
+                                              mr, ic / mr, kcs);
     }
+    alignas(64) typename F::Acc acc[F::kMaxTile];
+    for (std::size_t ti = 0; ti < m_tiles; ++ti) {
+      const std::size_t i0 = ic + ti * mr;
+      const std::size_t im = std::min(mr, m - i0);
+      for (std::size_t tj = 0; tj < tiles; ++tj) {
+        const std::size_t j0 = (t0 + tj) * nr;
+        uk.fn(kcs / F::kStepK, a_panels + ti * kcs * mr,
+              b_panels + tj * kcs * nr, acc);
+        write(acc, nr, i0, im, j0, std::min(nr, n - j0), pc == 0,
+              pc + kc == k);
+      }
+    }
+  };
+
+  // Column tiles [t_begin, t_end) in windows of at most NC columns. Per
+  // window and k block, B is packed once (or sliced from the pack) and
+  // every row block runs against it. With `spread` the B tiles and the
+  // row blocks fan out over the pool; without, this thread runs them.
+  const auto windows = [&](std::size_t t_begin, std::size_t t_end,
+                           bool spread) {
+    for (std::size_t t0 = t_begin, tiles = 0; t0 < t_end; t0 += tiles) {
+      tiles = std::min(window_tiles, t_end - t0);
+      for (std::size_t pc = 0; pc < k; pc += F::kKc) {
+        const std::size_t kc = std::min(F::kKc, k - pc);
+        const std::size_t kcs = detail::stored_k<F>(kc);
+        ws::Scratch<B> staged_b(pb == nullptr ? tiles * kcs * nr : 0);
+        const B* b_panels = staged_b.data();
+        if (pb == nullptr) {
+          const auto pack = [&](std::size_t t) {
+            const std::size_t j0 = (t0 + t) * nr;
+            F::pack_b(b, pc, kc, j0, std::min(nr, n - j0), nr,
+                      staged_b.data() + t * kcs * nr);
+          };
+          if (spread) {
+            parallel_for(0, tiles, pack, /*serial_threshold=*/8);
+          } else {
+            for (std::size_t t = 0; t < tiles; ++t) pack(t);
+          }
+          pack_stat<F, PackStat::kBytesPackedB>().add(
+              static_cast<std::int64_t>(tiles * kcs * nr * sizeof(B)));
+        } else {
+          b_panels = pb->data() + panel_offset<F>(pc / F::kKc, b_tiles_total,
+                                                  nr, t0, kcs);
+        }
+        const auto run = [&](std::size_t mb) {
+          row_block(mb * F::kMc, pc, t0, tiles, b_panels);
+        };
+        if (spread) {
+          parallel_for(0, row_blocks, run);
+        } else {
+          for (std::size_t mb = 0; mb < row_blocks; ++mb) run(mb);
+        }
+      }
+    }
+  };
+
+  const std::size_t width = parallel_width();
+  if (row_blocks < width && row_blocks < b_tiles_total) {
+    const std::size_t runs = std::min(width, b_tiles_total);
+    parallel_for(0, runs, [&](std::size_t r) {
+      windows(r * b_tiles_total / runs, (r + 1) * b_tiles_total / runs,
+              /*spread=*/false);
+    });
+  } else {
+    // Width 1 runs the same loop on this thread without dispatching.
+    windows(0, b_tiles_total, /*spread=*/width > 1);
   }
 }
 

@@ -37,8 +37,10 @@ class FftConv final : public ConvEngine {
   [[nodiscard]] std::string_view name() const override {
     return spectrum_ == Spectrum::kHalf ? "fft" : "fft-complex";
   }
+  /// A 1x1 kernel is excluded: its spectrum is a constant per filter,
+  /// so the transforms are pure overhead on what is one plain GEMM.
   [[nodiscard]] bool supports(const ConvConfig& cfg) const override {
-    return cfg.stride == 1 && cfg.groups == 1 &&
+    return cfg.stride == 1 && cfg.groups == 1 && cfg.kernel > 1 &&
            cfg.kernel <= cfg.input + 2 * cfg.pad;
   }
 

@@ -3,6 +3,7 @@
 #include "blas/gemm.hpp"
 #include "blas/packed.hpp"
 #include "conv/im2col.hpp"
+#include "core/thread_pool.hpp"
 #include "core/workspace.hpp"
 
 namespace gpucnn::conv {
@@ -19,6 +20,21 @@ namespace {
 // transform adds no locality on pointwise shapes).
 bool pointwise(const ConvConfig& cfg) {
   return cfg.kernel == 1 && cfg.stride == 1 && cfg.pad == 0;
+}
+
+// Runs body(first, last) over the batch's images. When the batch gives
+// every worker at least one image, images run as pool tasks and each
+// GEMM inside runs on its task's thread; a smaller batch runs on the
+// caller, where each image's GEMMs spread over the pool instead. Either
+// way every image's arithmetic is the same, so outputs are too.
+template <typename Body>
+void for_images(std::size_t batch, const Body& body) {
+  const std::size_t width = parallel_width();
+  if (width > 1 && batch >= width) {
+    parallel_for_chunks(0, batch, body);
+  } else {
+    body(0, batch);
+  }
 }
 
 }  // namespace
@@ -50,35 +66,37 @@ void GemmConv::run_forward(const ConvConfig& cfg, const Tensor& input,
   const std::size_t ckk = gv.channels * cfg.kernel * cfg.kernel;
   const std::size_t cols = o * o;
   const bool direct_b = pointwise(cfg);
-  ws::Scratch<float> col(direct_b ? 0 : col_buffer_size(gv));
 
-  // Per image and group: out(F_g x OhOw) = W_g(F_g x CKK) * col. The
-  // GEMM itself is parallel, matching Caffe's per-image cuBLAS calls.
-  // Bias + ReLU (when requested) ride the GEMM's write-back epilogue:
-  // the GEMM rows are this group's filters, so row i gets bias[g*F_g+i].
+  // Per image and group: out(F_g x OhOw) = W_g(F_g x CKK) * col, one
+  // GEMM per image as Caffe makes one cuBLAS call per image. Bias +
+  // ReLU (when requested) ride the GEMM's write-back epilogue: the GEMM
+  // rows are this group's filters, so row i gets bias[g*F_g+i].
   // Pointwise shapes feed the GEMM the input planes directly (see
-  // pointwise() above) — no im2col, same result bit-for-bit.
-  for (std::size_t n = 0; n < cfg.batch; ++n) {
-    for (std::size_t g = 0; g < cfg.groups; ++g) {
-      std::span<const float> b{
-          input.plane(n, g * gv.channels),
-          gv.channels * cfg.input * cfg.input};
-      if (!direct_b) {
-        im2col(gv, b, col.span());
-        b = col.span();
+  // pointwise() above) — no im2col, same result bit-for-bit. Each task
+  // holds its own column buffer and writes only its images' planes.
+  for_images(cfg.batch, [&](std::size_t first, std::size_t last) {
+    ws::Scratch<float> col(direct_b ? 0 : col_buffer_size(gv));
+    for (std::size_t n = first; n < last; ++n) {
+      for (std::size_t g = 0; g < cfg.groups; ++g) {
+        std::span<const float> b{input.plane(n, g * gv.channels),
+                                 gv.channels * cfg.input * cfg.input};
+        if (!direct_b) {
+          im2col(gv, b, col.span());
+          b = col.span();
+        }
+        const blas::Epilogue ep{
+            .bias = bias == nullptr ? nullptr : bias + g * gv.filters,
+            .relu = epilogue.relu};
+        const std::span<float> out{output.plane(n, g * gv.filters),
+                                   gv.filters * cols};
+        // A pack replaces the per-call weight packing; a stale one
+        // stages the filters instead, inside blas.
+        blas::sgemm(Trans::kNo, Trans::kNo, gv.filters, cols, ckk, 1.0F,
+                    {filters.plane(g * gv.filters, 0), gv.filters * ckk},
+                    ckk, b, cols, 0.0F, out, cols, ep, panel(packed, g));
       }
-      const blas::Epilogue ep{
-          .bias = bias == nullptr ? nullptr : bias + g * gv.filters,
-          .relu = epilogue.relu};
-      const std::span<float> out{output.plane(n, g * gv.filters),
-                                 gv.filters * cols};
-      // A pack replaces the per-call weight packing; a stale one stages
-      // the filters instead, inside blas.
-      blas::sgemm(Trans::kNo, Trans::kNo, gv.filters, cols, ckk, 1.0F,
-                  {filters.plane(g * gv.filters, 0), gv.filters * ckk}, ckk,
-                  b, cols, 0.0F, out, cols, ep, panel(packed, g));
     }
-  }
+  });
 }
 
 void GemmConv::backward_data(const ConvConfig& cfg, const Tensor& grad_output,
@@ -93,26 +111,29 @@ void GemmConv::backward_data(const ConvConfig& cfg, const Tensor& grad_output,
   const std::size_t ckk = gv.channels * cfg.kernel * cfg.kernel;
   const std::size_t cols = o * o;
   const bool direct_c = pointwise(cfg);
-  ws::Scratch<float> col(direct_c ? 0 : col_buffer_size(gv));
   if (!direct_c) grad_input.fill(0.0F);
 
   // Per image and group: col_grad(CKK x OhOw) = W_g^T(CKK x F_g) *
   // gout_g(F_g x OhOw), then col2im scatters into the input gradient.
   // On pointwise shapes every input cell receives exactly one column
   // cell, so the GEMM writes the gradient planes directly (beta = 0
-  // replaces the zero-fill + scatter-add).
-  for (std::size_t n = 0; n < cfg.batch; ++n) {
-    for (std::size_t g = 0; g < cfg.groups; ++g) {
-      std::span<float> gin{grad_input.plane(n, g * gv.channels),
-                           gv.channels * cfg.input * cfg.input};
-      blas::sgemm(Trans::kYes, Trans::kNo, ckk, cols, gv.filters, 1.0F,
-                  {filters.plane(g * gv.filters, 0), gv.filters * ckk},
-                  ckk,
-                  {grad_output.plane(n, g * gv.filters), gv.filters * cols},
-                  cols, 0.0F, direct_c ? gin : col.span(), cols);
-      if (!direct_c) col2im(gv, col.span(), gin);
+  // replaces the zero-fill + scatter-add). An image scatters only into
+  // its own planes, so images split over tasks like the forward's.
+  for_images(cfg.batch, [&](std::size_t first, std::size_t last) {
+    ws::Scratch<float> col(direct_c ? 0 : col_buffer_size(gv));
+    for (std::size_t n = first; n < last; ++n) {
+      for (std::size_t g = 0; g < cfg.groups; ++g) {
+        std::span<float> gin{grad_input.plane(n, g * gv.channels),
+                             gv.channels * cfg.input * cfg.input};
+        blas::sgemm(
+            Trans::kYes, Trans::kNo, ckk, cols, gv.filters, 1.0F,
+            {filters.plane(g * gv.filters, 0), gv.filters * ckk}, ckk,
+            {grad_output.plane(n, g * gv.filters), gv.filters * cols},
+            cols, 0.0F, direct_c ? gin : col.span(), cols);
+        if (!direct_c) col2im(gv, col.span(), gin);
+      }
     }
-  }
+  });
 }
 
 void GemmConv::backward_filter(const ConvConfig& cfg, const Tensor& input,
@@ -132,7 +153,9 @@ void GemmConv::backward_filter(const ConvConfig& cfg, const Tensor& input,
   grad_filters.fill(0.0F);
 
   // Per image and group: gw_g(F_g x CKK) += gout_g * col^T. Pointwise
-  // shapes read the input planes as the column matrix directly.
+  // shapes read the input planes as the column matrix directly. The sum
+  // over images stays in image order on this thread: per-task partial
+  // sums would change the order of addition.
   for (std::size_t n = 0; n < cfg.batch; ++n) {
     for (std::size_t g = 0; g < cfg.groups; ++g) {
       std::span<const float> b{

@@ -1,7 +1,9 @@
 // Unrolling-based convolution: im2col + SGEMM (+ col2im on the backward
 // path). This is the strategy of Caffe, Torch-cunn, Theano-CorrMM and
 // cuDNN (paper §II.B), structured as Caffe structures it: one GEMM per
-// image over a reused column workspace.
+// image over a reused column workspace. At a batch of at least one image
+// per pool worker, the forward and backward-data images run as pool
+// tasks, each over its own workspace.
 #pragma once
 
 #include "conv/conv_engine.hpp"

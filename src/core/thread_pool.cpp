@@ -236,6 +236,10 @@ void parallel_for_impl(std::size_t begin, std::size_t end, ChunkFnRef body,
 
 }  // namespace detail
 
+std::size_t parallel_width() {
+  return tls_in_pool_task ? 1 : global_pool().size();
+}
+
 void parallel_for_chunks(std::size_t begin, std::size_t end,
                          ChunkFnRef body) {
   if (end <= begin) return;

@@ -148,6 +148,12 @@ void parallel_for(std::size_t begin, std::size_t end, F&& body,
 /// Chunk-granular variant on the global pool.
 void parallel_for_chunks(std::size_t begin, std::size_t end, ChunkFnRef body);
 
+/// Workers a dispatch from this thread would spread over: the global
+/// pool's size, or 1 inside a pool task (a nested dispatch runs inline)
+/// and on a one-worker pool. Kernels read it to pick a partition that
+/// gives every worker a share.
+[[nodiscard]] std::size_t parallel_width();
+
 /// Same, accepting any callable (see the ThreadPool member overload).
 template <typename F,
           typename = std::enable_if_t<

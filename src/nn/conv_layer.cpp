@@ -90,6 +90,15 @@ void ConvLayer::forward(const Tensor& in, Tensor& out) {
 
 void ConvLayer::backward(const Tensor& in, const Tensor& grad_out,
                          Tensor& grad_in) {
+  backward_into(in, grad_out, &grad_in);
+}
+
+void ConvLayer::backward_params(const Tensor& in, const Tensor& grad_out) {
+  backward_into(in, grad_out, nullptr);
+}
+
+void ConvLayer::backward_into(const Tensor& in, const Tensor& grad_out,
+                              Tensor* grad_in) {
   const ConvConfig cfg = config_for_batch(in.shape().n);
   const Tensor* grad = &grad_out;
   Tensor masked;
@@ -107,9 +116,11 @@ void ConvLayer::backward(const Tensor& in, const Tensor& grad_out,
     grad = &masked;
   }
 
-  grad_in.resize(cfg.input_shape());
-  engine_for(cfg, tune::Pass::kBackwardData)
-      .backward_data(cfg, *grad, weights_, grad_in);
+  if (grad_in != nullptr) {
+    grad_in->resize(cfg.input_shape());
+    engine_for(cfg, tune::Pass::kBackwardData)
+        .backward_data(cfg, *grad, weights_, *grad_in);
+  }
 
   Tensor gw(cfg.filter_shape());
   engine_for(cfg, tune::Pass::kBackwardFilter)

@@ -39,6 +39,8 @@ class ConvLayer final : public Layer {
   void forward(const Tensor& in, Tensor& out) override;
   void backward(const Tensor& in, const Tensor& grad_out,
                 Tensor& grad_in) override;
+  /// Skips the backward-data pass: only the filter and bias gradients.
+  void backward_params(const Tensor& in, const Tensor& grad_out) override;
 
   [[nodiscard]] std::vector<Tensor*> parameters() override {
     return {&weights_, &bias_};
@@ -99,6 +101,11 @@ class ConvLayer final : public Layer {
   /// the tuner is not in off mode), the static engine otherwise.
   [[nodiscard]] const conv::ConvEngine& engine_for(const ConvConfig& cfg,
                                                    tune::Pass pass) const;
+
+  /// The backward pass; the input gradient is computed only when
+  /// `grad_in` is non-null.
+  void backward_into(const Tensor& in, const Tensor& grad_out,
+                     Tensor* grad_in);
 
   ConvConfig geometry_;
   const conv::ConvEngine* engine_;  ///< a conv::registry() instance

@@ -40,6 +40,14 @@ class Layer {
   virtual void backward(const Tensor& in, const Tensor& grad_out,
                         Tensor& grad_in) = 0;
 
+  /// backward() for a layer whose input gradient nothing reads (the
+  /// first layer of a network): accumulates the parameter gradients
+  /// only. Default: the full backward into a discarded gradient.
+  virtual void backward_params(const Tensor& in, const Tensor& grad_out) {
+    Tensor unused;
+    backward(in, grad_out, unused);
+  }
+
   /// Learnable parameters and their gradients, pairwise aligned.
   [[nodiscard]] virtual std::vector<Tensor*> parameters() { return {}; }
   [[nodiscard]] virtual std::vector<Tensor*> gradients() { return {}; }

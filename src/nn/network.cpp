@@ -130,11 +130,12 @@ void Network::backward(const Tensor& grad_output) {
   std::copy(grad_output.data().begin(), grad_output.data().end(),
             grad.data().begin());
   Tensor grad_in;
-  for (std::size_t i = layers_.size(); i-- > 0;) {
-    const Tensor& layer_input = i == 0 ? input_ : activations_[i - 1];
-    layers_[i]->backward(layer_input, grad, grad_in);
+  for (std::size_t i = layers_.size(); i-- > 1;) {
+    layers_[i]->backward(activations_[i - 1], grad, grad_in);
     std::swap(grad, grad_in);
   }
+  // Nothing reads the network input's gradient.
+  layers_[0]->backward_params(input_, grad);
 }
 
 std::vector<Tensor*> Network::parameters() {

@@ -57,7 +57,8 @@ class Network {
   const Tensor& forward(const Tensor& input);
 
   /// Backward pass from dL/d(output); requires a preceding forward().
-  /// Parameter gradients accumulate inside the layers.
+  /// Parameter gradients accumulate inside the layers. The first layer
+  /// runs Layer::backward_params: the input's gradient is not computed.
   void backward(const Tensor& grad_output);
 
   /// All parameters / gradients across layers, pairwise aligned.

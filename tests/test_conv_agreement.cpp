@@ -5,11 +5,14 @@
 // test_direct_conv.cpp).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "conv/conv_engine.hpp"
 #include "core/rng.hpp"
+#include "core/thread_pool.hpp"
 
 namespace gpucnn::conv {
 namespace {
@@ -150,6 +153,82 @@ TEST(FftConvLimits, RejectsStrideGreaterThanOne) {
   Tensor output(cfg.output_shape());
   EXPECT_THROW(engine->forward(cfg, input, filters, output), Error);
 }
+
+TEST(FftConvLimits, RejectsOneByOneKernels) {
+  // A 1x1 kernel's spectrum is one constant per filter: the transforms
+  // would be pure overhead on what is a plain GEMM.
+  const ConvConfig cfg{.batch = 1, .input = 14, .channels = 8, .filters = 8,
+                       .kernel = 1, .stride = 1};
+  EXPECT_FALSE(find_engine("fft")->supports(cfg));
+  EXPECT_FALSE(find_engine("fft-tiled")->supports(cfg));
+  ConvConfig three = cfg;
+  three.kernel = 3;
+  EXPECT_TRUE(find_engine("fft")->supports(three));
+}
+
+// At a batch of at least one image per pool worker, GemmConv runs its
+// forward and backward-data images as pool tasks. Inside a pool task the
+// same call runs every image in order on one thread; both must agree bit
+// for bit, on the plain, fused and own-pack forwards. The images are
+// large enough that tasks overlap, so shared scratch would show.
+class GemmConvImageSplit : public ::testing::TestWithParam<AgreementCase> {};
+
+TEST_P(GemmConvImageSplit, PoolTasksMatchOneThreadBitForBit) {
+  ConvConfig cfg = GetParam().cfg;
+  cfg.batch = 2 * global_pool().size();
+  const ConvEngine& engine = *find_engine("unrolling");
+  Rng rng(43);
+  Tensor input(cfg.input_shape());
+  input.fill_uniform(rng, -1.0F, 1.0F);
+  Tensor filters(cfg.filter_shape());
+  filters.fill_uniform(rng, -0.5F, 0.5F);
+  Tensor bias(1, cfg.filters, 1, 1);
+  bias.fill_uniform(rng, -0.2F, 0.2F);
+  Tensor grad_output(cfg.output_shape());
+  grad_output.fill_uniform(rng, -1.0F, 1.0F);
+  const auto pack = engine.prepack(cfg, filters);
+
+  const auto run = [&](std::vector<Tensor>& out) {
+    out.assign(3, Tensor(cfg.output_shape()));
+    engine.forward(cfg, input, filters, out[0]);
+    engine.forward(cfg, input, filters, out[1],
+                   {.bias = bias.data(), .relu = true});
+    engine.forward(cfg, input, filters, out[2],
+                   {.bias = bias.data(), .relu = true, .packed = pack.get()});
+    out.emplace_back(cfg.input_shape());
+    engine.backward_data(cfg, grad_output, filters, out[3]);
+  };
+  std::vector<Tensor> spread;
+  std::vector<Tensor> one_thread;
+  run(spread);
+  parallel_for_chunks(0, 1,
+                      [&](std::size_t, std::size_t) { run(one_thread); });
+  const char* const names[] = {"forward", "fused forward",
+                               "own-pack forward", "backward-data"};
+  for (std::size_t i = 0; i < spread.size(); ++i) {
+    const auto a = spread[i].data();
+    const auto b = one_thread[i].data();
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+        << names[i] << " differs in its bits";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, GemmConvImageSplit,
+    ::testing::Values(
+        AgreementCase{{.input = 28, .channels = 32, .filters = 48,
+                       .kernel = 1, .stride = 1},
+                      "pointwise"},
+        AgreementCase{{.input = 28, .channels = 6, .filters = 16, .kernel = 5,
+                       .stride = 1, .pad = 2},
+                      "five_by_five"},
+        AgreementCase{{.input = 20, .channels = 16, .filters = 24,
+                       .kernel = 3, .stride = 1, .pad = 1, .groups = 4},
+                      "grouped"}),
+    [](const auto& param_info) {
+      return std::string(param_info.param.label);
+    });
 
 TEST(EngineFactory, ProducesAllStrategies) {
   EXPECT_EQ(strategy_engine(Strategy::kDirect).strategy(), Strategy::kDirect);

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <tuple>
 #include <vector>
 
+#include "blas/packed.hpp"
 #include "core/cpu_features.hpp"
 #include "core/rng.hpp"
+#include "core/thread_pool.hpp"
+#include "obs/metrics.hpp"
 #include "simd_guard.hpp"
 
 namespace gpucnn::blas {
@@ -359,6 +363,98 @@ TEST(GemmEpilogue, InactiveEpilogueIsPlainGemm) {
   sgemm(Trans::kNo, Trans::kNo, m, n, k, 1.0F, a, k, b, n, 0.0F, c2, n,
         Epilogue{});
   for (std::size_t i = 0; i < c1.size(); ++i) EXPECT_EQ(c1[i], c2[i]);
+}
+
+// The partition (blas/blocked.hpp) splits a GEMM with fewer row blocks
+// than pool workers over runs of column tiles, and over row blocks
+// otherwise. Inside a pool task every dispatch runs inline, so the same
+// call there is the one-thread M-split reference: both must agree bit
+// for bit on either side of every boundary — M around MC = 120 and the
+// four-worker split at 3 x MC, N over three NC = 2048 windows with a
+// ragged last tile, K over two KC = 256 blocks.
+class GemmPartition : public ::testing::TestWithParam<std::size_t> {};
+
+template <typename Call>
+void in_pool_task(const Call& call) {
+  parallel_for_chunks(0, 1, [&](std::size_t, std::size_t) { call(); });
+}
+
+TEST_P(GemmPartition, AllCoresMatchOnePoolTaskBitForBit) {
+  const std::size_t m = GetParam();
+  const std::size_t n = 2 * 2048 + 19;
+  const std::size_t k = 260;
+  Rng rng(m + 31);
+  const auto a = random_matrix(m, k, rng);
+  const auto b = random_matrix(k, n, rng);
+  const auto bt = random_matrix(n, k, rng);  // op(B) = bt^T
+  const auto bias = random_matrix(m, 1, rng);
+  const auto c0 = random_matrix(m, n, rng);  // beta = 1 starting point
+  const PackedMatrix pa = pack_a(Trans::kNo, m, k, a, k);
+  const PackedMatrix pb = pack_b(Trans::kYes, k, n, bt, k);
+  const Epilogue fused{.bias = bias.data(), .relu = true};
+
+  // Each variant writes C from the same start on both sides.
+  const auto variants = [&](std::vector<float>& c, std::size_t v) {
+    c = c0;
+    switch (v) {
+      case 0:  // staged, plain
+        sgemm(Trans::kNo, Trans::kNo, m, n, k, 1.0F, a, k, b, n, 0.0F, c, n);
+        break;
+      case 1:  // packed A, bias + ReLU
+        sgemm(Trans::kNo, Trans::kNo, m, n, k, 1.0F, a, k, b, n, 0.0F, c, n,
+              fused, &pa);
+        break;
+      case 2:  // transposed B, beta = 1
+        sgemm(Trans::kNo, Trans::kYes, m, n, k, 0.5F, a, k, bt, k, 1.0F, c,
+              n);
+        break;
+      default:  // packed transposed B, beta = 1, bias + ReLU
+        sgemm(Trans::kNo, Trans::kYes, m, n, k, 0.5F, a, k, bt, k, 1.0F, c,
+              n, fused, &pb);
+        break;
+    }
+  };
+  for (std::size_t v = 0; v < 4; ++v) {
+    std::vector<float> spread;
+    std::vector<float> inline_ref;
+    variants(spread, v);
+    in_pool_task([&] { variants(inline_ref, v); });
+    ASSERT_EQ(spread.size(), inline_ref.size());
+    EXPECT_EQ(std::memcmp(spread.data(), inline_ref.data(),
+                          spread.size() * sizeof(float)),
+              0)
+        << "variant " << v << " differs in its bits, m = " << m;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RowsAroundTheBlockEdges, GemmPartition,
+                         ::testing::Values(1, 7, 64, 120, 121, 360, 361,
+                                           512));
+
+// A small-M GEMM spreads over the pool in one dispatch: 64 rows are one
+// row block, so before the column split it ran on the caller alone.
+TEST(GemmPartition, SmallMSpreadsOverWorkersInOneDispatch) {
+  if (global_pool().size() < 2) {
+    GTEST_SKIP() << "one pool worker: nothing to spread over";
+  }
+  const std::size_t m = 64;
+  const std::size_t n = 12544;
+  const std::size_t k = 32;
+  Rng rng(37);
+  const auto a = random_matrix(m, k, rng);
+  const auto b = random_matrix(k, n, rng);
+  std::vector<float> c(m * n);
+  auto& calls = obs::metrics().counter("core.parallel_for.calls");
+  auto& worker = obs::metrics().counter("core.parallel_for.chunks_worker");
+  const auto worker_before = worker.value();
+  // Whether a worker wakes before the caller claims every chunk is up to
+  // the scheduler; over a few calls one does.
+  for (int rep = 0; rep < 20 && worker.value() == worker_before; ++rep) {
+    const auto calls_before = calls.value();
+    sgemm(Trans::kNo, Trans::kNo, m, n, k, 1.0F, a, k, b, n, 0.0F, c, n);
+    EXPECT_EQ(calls.value() - calls_before, 1);
+  }
+  EXPECT_GT(worker.value(), worker_before);
 }
 
 }  // namespace

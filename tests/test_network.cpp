@@ -1,6 +1,8 @@
 // Network container, optimiser and end-to-end training tests.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "conv/conv_engine.hpp"
 #include "nn/activation_layer.hpp"
 #include "nn/conv_layer.hpp"
@@ -11,6 +13,7 @@
 #include "nn/sgd.hpp"
 #include "nn/softmax.hpp"
 #include "nn/synthetic_data.hpp"
+#include "tune/autotuner.hpp"
 
 namespace gpucnn::nn {
 namespace {
@@ -114,6 +117,75 @@ TEST(Network, EndToEndGradcheckThroughWholeStack) {
           << "tensor " << t << " index " << idx;
     }
   }
+}
+
+// Network::backward asks the first layer for its parameter gradients
+// only: nothing reads the gradient of the network's input.
+TEST(Network, FirstLayerSkipsTheInputGradient) {
+  auto& tuner = tune::Autotuner::instance();
+  const tune::Mode mode_before = tuner.mode();
+  tuner.set_mode(tune::Mode::kHeuristic);
+  tuner.clear();
+
+  auto net = tiny_net();
+  auto ref = tiny_net();
+  Rng r1(11);
+  net.initialize(r1);
+  Rng r2(11);
+  ref.initialize(r2);
+  for (Network* n : {&net, &ref}) {
+    n->fuse_conv_relu();  // the fused backward masks the gradient first
+    n->enable_autotune(true);
+  }
+  Rng rng(12);
+  Tensor in(2, 1, 8, 8);
+  in.fill_uniform(rng);
+  const std::vector<std::size_t> labels{1, 2};
+
+  Tensor grad;
+  cross_entropy_prob_grad(net.forward(in), labels, grad);
+  net.backward(grad);
+  // The conv layer asks the tuner for an engine exactly when it runs a
+  // pass, so the memo shows which of its passes ran.
+  const ConvConfig cfg{.batch = 2, .input = 8, .channels = 1, .filters = 4,
+                       .kernel = 3, .stride = 1, .pad = 1};
+  bool filter_pass = false;
+  bool data_pass = false;
+  for (const auto& e : tuner.entries()) {
+    if (e.config != cfg) continue;
+    filter_pass |= e.pass == tune::Pass::kBackwardFilter;
+    data_pass |= e.pass == tune::Pass::kBackwardData;
+  }
+  EXPECT_TRUE(filter_pass);
+  EXPECT_FALSE(data_pass) << "layer 0 ran its backward-data engine";
+
+  // Reference: the same step layer by layer, layer 0's full backward
+  // included.
+  std::vector<Tensor> acts(ref.size());
+  const Tensor* current = &in;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ref.layer(i).forward(*current, acts[i]);
+    current = &acts[i];
+  }
+  Tensor ref_grad;
+  cross_entropy_prob_grad(acts.back(), labels, ref_grad);
+  Tensor grad_in;
+  for (std::size_t i = ref.size(); i-- > 0;) {
+    ref.layer(i).backward(i == 0 ? in : acts[i - 1], ref_grad, grad_in);
+    std::swap(ref_grad, grad_in);
+  }
+  const auto got = net.gradients();
+  const auto want = ref.gradients();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i]->count(), want[i]->count());
+    EXPECT_EQ(std::memcmp(got[i]->data().data(), want[i]->data().data(),
+                          got[i]->count() * sizeof(float)),
+              0)
+        << "gradient " << i << " differs in its bits";
+  }
+  tuner.clear();
+  tuner.set_mode(mode_before);
 }
 
 TEST(Sgd, MovesAgainstGradient) {

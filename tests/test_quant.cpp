@@ -5,13 +5,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <random>
 #include <vector>
 
 #include "blas/igemm.hpp"
+#include "blas/packed.hpp"
 #include "core/cpu_features.hpp"
 #include "core/error.hpp"
+#include "core/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "simd_guard.hpp"
 
@@ -416,6 +419,73 @@ TEST(IgemmTest, EpilogueAppliesToAllKBlocksOnce) {
   // reaches the blocked loop nest's staged partial sums, for f32 and u8.
   expect_blocked_igemm_matches_naive(3, 60, 1700, 12);
 }
+
+// The igemm side of the GEMM partition check (test_gemm.cpp): the call
+// on all cores must equal the same call inside a pool task, where it
+// runs the one-thread M-split, bit for bit. M straddles igemm's MC = 96
+// and its four-worker split at 3 x MC as well as sgemm's edges; k = 1600
+// spans two KC = 1536 blocks, so f32 and u8 stage partial sums; n ends
+// in a ragged tile.
+class IgemmPartition : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(IgemmPartition, AllCoresMatchOnePoolTaskBitForBit) {
+  const std::size_t m = GetParam();
+  const std::size_t n = 181;
+  const std::size_t k = 1600;
+  std::vector<std::int8_t> a;
+  std::vector<std::uint8_t> b;
+  fill_random_operands(m, n, k, a, b, static_cast<unsigned>(m) + 5);
+  const blas::PackedMatrixI8 pa = blas::pack_a_i8(m, k, a, k);
+  std::vector<float> scales(m);
+  std::vector<std::int32_t> offsets(m);
+  std::vector<float> bias(m);
+  for (std::size_t r = 0; r < m; ++r) {
+    scales[r] = 1e-5F * static_cast<float>(1 + r % 3);
+    offsets[r] = static_cast<std::int32_t>(r % 7) - 3;
+    bias[r] = 0.125F * static_cast<float>(r % 5) - 0.25F;
+  }
+  blas::QEpilogue f32_ep{.scales = scales.data(),
+                         .row_offsets = offsets.data(),
+                         .bias = bias.data(),
+                         .relu = true};
+  blas::QEpilogue u8_ep = f32_ep;
+  u8_ep.out = blas::QEpilogue::Out::kU8;
+  u8_ep.out_scale = 0.05F;
+  u8_ep.out_zero_point = 3;
+
+  struct Outputs {
+    std::vector<std::int32_t> s32, s32_packed;
+    std::vector<float> f32;
+    std::vector<std::uint8_t> u8;
+  };
+  const auto run = [&](Outputs& o) {
+    o.s32.assign(m * n, -1);
+    o.s32_packed.assign(m * n, -1);
+    o.f32.assign(m * n, -1.0F);
+    o.u8.assign(m * n, 1);
+    blas::igemm_s32(m, n, k, a, k, b, n, o.s32, n);
+    blas::igemm_s32(m, n, k, a, k, b, n, o.s32_packed, n, &pa);
+    blas::igemm(m, n, k, a, k, b, n, f32_ep, o.f32, n, &pa);
+    blas::igemm(m, n, k, a, k, b, n, u8_ep, o.u8, n);
+  };
+  Outputs spread;
+  Outputs inline_ref;
+  run(spread);
+  parallel_for_chunks(0, 1,
+                      [&](std::size_t, std::size_t) { run(inline_ref); });
+  EXPECT_EQ(spread.s32, inline_ref.s32) << "m = " << m;
+  EXPECT_EQ(spread.s32_packed, inline_ref.s32_packed) << "m = " << m;
+  EXPECT_EQ(spread.u8, inline_ref.u8) << "m = " << m;
+  ASSERT_EQ(spread.f32.size(), inline_ref.f32.size());
+  EXPECT_EQ(std::memcmp(spread.f32.data(), inline_ref.f32.data(),
+                        spread.f32.size() * sizeof(float)),
+            0)
+      << "f32 outputs differ in their bits, m = " << m;
+}
+
+INSTANTIATE_TEST_SUITE_P(RowsAroundTheBlockEdges, IgemmPartition,
+                         ::testing::Values(1, 7, 64, 96, 97, 120, 121, 288,
+                                           289, 360, 361, 512));
 
 }  // namespace
 }  // namespace gpucnn::quant

@@ -81,6 +81,23 @@ TEST_F(TunerFixture, EligibilityRespectsEngineShapeLimits) {
   }
 }
 
+TEST_F(TunerFixture, MeasureAllSkipsFftEnginesOnOneByOneKernels) {
+  // A 1x1 kernel rules out both FFT engines: measure mode must not pay
+  // their transforms for a plain GEMM.
+  ConvConfig pointwise = small_config();
+  pointwise.kernel = 1;
+  pointwise.pad = 0;
+  const auto timings = tuner_->measure_all(pointwise, Pass::kForward);
+  std::size_t fft_engines = 0;
+  for (const auto& t : timings) {
+    if (t.engine_name != "fft" && t.engine_name != "fft-tiled") continue;
+    ++fft_engines;
+    EXPECT_FALSE(t.eligible) << t.engine_name;
+    EXPECT_EQ(t.ms, 0.0) << t.engine_name << " was timed while ineligible";
+  }
+  EXPECT_EQ(fft_engines, 2U);
+}
+
 TEST_F(TunerFixture, HeuristicPicksASupportedEngineWithoutTiming) {
   tuner_->set_mode(Mode::kHeuristic);
   const auto trials_before =

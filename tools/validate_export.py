@@ -207,11 +207,13 @@ def validate_serving_table(directory, entry):
 # Paired-timing tables (bench_cpu_kernels), keyed by file-name prefix:
 # each row pairs a baseline benchmark with its twin on the same case —
 # fp32 vs int8, staged vs prepacked weights, staged GEMM vs prepacked
-# Winograd — as (baseline column, twin column).
+# Winograd, one pool task vs the whole pool — as (baseline column, twin
+# column).
 PAIRED_TABLES = {
     "BENCH_int8": ("fp32_real_ns", "int8_real_ns"),
     "BENCH_prepack": ("staged_real_ns", "prepacked_real_ns"),
     "BENCH_winograd": ("gemm_real_ns", "winograd_real_ns"),
+    "BENCH_zoo_gemm": ("one_core_real_ns", "all_cores_real_ns"),
 }
 
 
